@@ -14,7 +14,7 @@
 //! `cargo bench -p cfd-bench --bench approx` and update the file when
 //! the numbers move.
 
-use cfd_core::api::{Algo, Control, DiscoverOptions, Discoverer};
+use cfd_core::api::{Algo, Control, DiscoverOptions};
 use cfd_datagen::tax::TaxGenerator;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::time::Duration;

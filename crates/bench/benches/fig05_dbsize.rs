@@ -5,7 +5,7 @@
 //! to criterion-friendly sizes; the full sweep lives in
 //! `cargo run --release -p cfd-bench --bin experiments -- fig5`.
 
-use cfd_core::api::{Algo, Control, DiscoverOptions, Discoverer};
+use cfd_core::api::{Algo, Control, DiscoverOptions};
 use cfd_datagen::tax::TaxGenerator;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::time::Duration;

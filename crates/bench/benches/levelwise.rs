@@ -14,7 +14,7 @@
 //! (with machine notes — thread scaling is meaningless without the
 //! core count) when they move.
 
-use cfd_core::api::{Algo, Control, DiscoverOptions, Discoverer};
+use cfd_core::api::{Algo, Control, DiscoverOptions};
 use cfd_datagen::tax::TaxGenerator;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::time::Duration;

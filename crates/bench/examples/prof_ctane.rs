@@ -1,5 +1,5 @@
 //! Quick phase profile of exact CTANE on the tax workload.
-use cfd_core::api::{Algo, Control, DiscoverOptions, Discoverer};
+use cfd_core::api::{Algo, Control, DiscoverOptions};
 use cfd_datagen::tax::TaxGenerator;
 use std::time::Instant;
 

@@ -45,7 +45,7 @@
 //! baseline. Timing is best-of-3, so one scheduler hiccup cannot fire
 //! the alarm; a sustained 10× cliff always does.
 
-use cfd_core::api::{Algo, Control, DiscoverOptions, Discoverer};
+use cfd_core::api::{Algo, Control, DiscoverOptions};
 use cfd_core::FastCfd;
 use cfd_datagen::tax::TaxGenerator;
 use cfd_model::attrset::AttrSet;

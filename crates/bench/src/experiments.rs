@@ -23,7 +23,7 @@
 //! producing them.
 
 use crate::table::{Cell, Table};
-use cfd_core::api::{Algo, Control, DiscoverOptions, Discoverer};
+use cfd_core::api::{Algo, Control, DiscoverOptions};
 use cfd_core::FastCfd;
 use cfd_model::cover::CanonicalCover;
 use cfd_model::relation::Relation;
@@ -31,7 +31,7 @@ use std::path::Path;
 use std::time::Instant;
 
 /// The harness's one door into discovery: every non-ablation
-/// measurement goes through the unified `Discoverer` API, so the
+/// measurement goes through the unified `Algo` entry point, so the
 /// harness exercises exactly what the CLI and library users run.
 /// Ablation experiments configure struct-level knobs directly — those
 /// knobs are deliberately not part of `DiscoverOptions`.

@@ -1,28 +1,32 @@
-//! The unified discovery API: one trait, one options struct, one
-//! structured outcome — for all six algorithms.
+//! The unified discovery API: one entry point, one options struct, one
+//! structured outcome — for all seven algorithms.
 //!
 //! The paper presents CFDMiner, CTANE and FastCFD as interchangeable
 //! answers to the same problem; this module makes them (plus the
-//! brute-force oracle and the TANE/FastFD baselines) interchangeable in
-//! code. Every consumer — the `cfd` CLI, the examples, the bench
-//! harness, tests, an embedding server — goes through the same three
-//! types:
+//! NaiveFast configuration, the brute-force oracle and the TANE/FastFD
+//! baselines) interchangeable in code. Every consumer — the `cfd` CLI,
+//! the examples, the bench harness, tests, `cfd serve`, the streaming
+//! re-miner — goes through the same door:
 //!
+//! * [`Algo`] — the registry ([`Algo::parse`], [`Algo::all`]) mapping
+//!   stable names to algorithms, so CLIs and test matrices never
+//!   string-match, and the pipeline itself: [`Algo::execute`] validates,
+//!   projects, searches, filters, measures and ranks;
 //! * [`DiscoverOptions`] — the validated, algorithm-independent knobs
 //!   (support `k`, `max_lhs`, `threads`, `constants_only`, attribute
-//!   projection);
-//! * [`Discoverer`] — the trait all algorithms implement, with a
-//!   cancellation/progress hook ([`Control`]);
-//! * [`Discovery`] — the structured outcome: the cover plus per-phase
-//!   timings, search counters, and machine-readable [`Note`]s for
-//!   options the chosen algorithm ignores (replacing ad-hoc stderr
-//!   warnings).
+//!   projection, `min_confidence`, `top_k`);
+//! * [`RunContext`] — what a run borrows from its caller: the options,
+//!   the cancellation/progress hook ([`Control`]), and optionally a
+//!   shared [`RelationIndex`] and warm partition stores;
+//! * [`Discovery`] — the structured outcome: the cover plus its rule
+//!   measures, per-phase timings, search counters, and machine-readable
+//!   [`Note`]s for options the chosen algorithm ignores.
 //!
-//! The [`Algo`] registry ([`Algo::parse`], [`Algo::all`]) maps stable
-//! names to algorithms so CLIs and test matrices never string-match:
+//! [`Algo::discover_with`] and [`Algo::discover_indexed`] are the
+//! one-line shorthands for the common contexts:
 //!
 //! ```
-//! use cfd_core::api::{Algo, Control, DiscoverOptions, Discoverer};
+//! use cfd_core::api::{Algo, Control, DiscoverOptions};
 //! use cfd_datagen::cust::cust_relation;
 //!
 //! let rel = cust_relation();
@@ -37,26 +41,27 @@
 use crate::bruteforce::BruteForce;
 use crate::cfdminer::CfdMiner;
 use crate::ctane::Ctane;
-use crate::fastcfd::{DiffSetMode, FastCfd};
+use crate::fastcfd::FastCfd;
 use cfd_fd::{FastFd, Tane};
 use cfd_model::attrset::AttrSet;
 use cfd_model::cover::CanonicalCover;
 use cfd_model::json::Json;
 pub use cfd_model::measure::RuleMeasure;
+use cfd_model::pattern::Pattern;
 pub use cfd_model::progress::{Cancelled, Control, PhaseTiming, Progress, SearchStats};
 use cfd_model::relation::Relation;
-use cfd_partition::RelationIndex;
+use cfd_partition::{PartitionStore, RelationIndex};
 
 /// The algorithm registry: every discovery algorithm the suite ships,
 /// under its stable CLI/wire name.
 ///
 /// `Algo` is both a name table ([`Algo::parse`], [`Algo::name`],
-/// [`Algo::all`]) and itself a [`Discoverer`] (delegating to a
-/// default-configured instance), so a matrix over every algorithm is a
-/// plain loop:
+/// [`Algo::all`]) and the entry point into discovery
+/// ([`Algo::execute`]), so a matrix over every algorithm is a plain
+/// loop:
 ///
 /// ```
-/// use cfd_core::api::{Algo, Control, DiscoverOptions, Discoverer};
+/// use cfd_core::api::{Algo, Control, DiscoverOptions};
 /// let rel = cfd_datagen::cust::cust_relation();
 /// for algo in Algo::all() {
 ///     let d = algo.discover_with(&rel, &DiscoverOptions::new(2), &Control::default()).unwrap();
@@ -161,21 +166,6 @@ impl Algo {
     pub const fn approximates(self) -> bool {
         matches!(self, Algo::Ctane | Algo::Tane | Algo::CfdMiner)
     }
-
-    /// A default-configured instance of the algorithm (shared knobs
-    /// come from [`DiscoverOptions`] at `discover_with` time;
-    /// algorithm-specific ablation knobs keep their paper defaults).
-    pub fn discoverer(self) -> Box<dyn Discoverer> {
-        match self {
-            Algo::CfdMiner => Box::new(CfdMiner::new(1)),
-            Algo::Ctane => Box::new(Ctane::new(1)),
-            Algo::FastCfd => Box::new(FastCfd::new(1)),
-            Algo::Naive => Box::new(FastCfd::naive(1)),
-            Algo::Tane => Box::new(Tane::new()),
-            Algo::FastFd => Box::new(FastFd::new()),
-            Algo::BruteForce => Box::new(BruteForce::new(1)),
-        }
-    }
 }
 
 impl std::fmt::Display for Algo {
@@ -218,7 +208,7 @@ impl std::error::Error for UnknownAlgo {}
 /// carries a machine-readable [`Note`] per ignored option.
 ///
 /// ```
-/// use cfd_core::api::{Algo, Control, DiscoverOptions, Discoverer};
+/// use cfd_core::api::{Algo, Control, DiscoverOptions};
 /// let rel = cfd_datagen::cust::cust_relation();
 /// let opts = DiscoverOptions::new(2).max_lhs(3).threads(4);
 /// // CTANE honors both max_lhs and threads — nothing to report:
@@ -237,9 +227,10 @@ pub struct DiscoverOptions {
     /// Upper bound on LHS size (honored by the level-wise algorithms).
     pub max_lhs: Option<usize>,
     /// Worker threads (`1` = serial). FastCFD/NaiveFast shard
-    /// `FindCover` across RHS attributes; CTANE/TANE shard level
-    /// expansion across prefix-join runs; CFDMiner shards its item-set
-    /// mining pass. Output never depends on the thread count.
+    /// `FindCover`, FastFD and the oracle their cover search, across
+    /// RHS attributes; CTANE/TANE shard level expansion across
+    /// prefix-join runs; CFDMiner shards its item-set mining pass.
+    /// Output never depends on the thread count.
     pub threads: usize,
     /// Restrict the result to constant CFDs (applied natively by
     /// CFDMiner, as a post-filter elsewhere).
@@ -318,7 +309,7 @@ impl DiscoverOptions {
         self
     }
 
-    /// Validates the options against a relation. Every [`Discoverer`]
+    /// Validates the options against a relation. [`Algo::execute`]
     /// checks this before running; call it directly to fail fast.
     pub fn validate(&self, rel: &Relation) -> Result<(), DiscoverError> {
         let fail = |m: String| Err(DiscoverError::Options(m));
@@ -385,8 +376,8 @@ impl DiscoverOptions {
 pub struct Note {
     /// The algorithm the note is about.
     pub algo: Algo,
-    /// The ignored option, in CLI-flag spelling (`"threads"`,
-    /// `"max-lhs"`, `"k"`, `"constants-only"`).
+    /// The ignored option, in CLI-flag spelling (`"max-lhs"`, `"k"`,
+    /// `"constants-only"`, `"min-confidence"`).
     pub option: &'static str,
     /// The value that was supplied.
     pub value: String,
@@ -576,114 +567,122 @@ impl Discovery {
     }
 }
 
-/// The unified discovery interface all six algorithms implement.
-///
-/// Implementors provide [`Discoverer::algo`] (their registry identity)
-/// and [`Discoverer::run`] (the instrumented core). Consumers call the
-/// provided [`Discoverer::discover_with`], which validates the options,
-/// applies the projection, runs the algorithm, post-filters for
-/// `constants_only`, and assembles the [`Discovery`] outcome with
-/// notes for ignored options.
-///
-/// Shared knobs (`k`, `max_lhs`, `threads`) are read from
-/// [`DiscoverOptions`] — the single source of truth on this path.
-/// Struct-level builder knobs cover algorithm-specific ablations only
-/// (e.g. [`FastCfd::dynamic_reorder`]) and keep configuring the legacy
-/// `discover(&rel)` shorthand.
+/// What one discovery run borrows from its caller besides the relation:
+/// the options and run control, plus optional caller-owned caches. The
+/// caches trade recomputation only — the [`Discovery`] is byte-identical
+/// with or without them.
 ///
 /// ```
-/// use cfd_core::api::{Control, DiscoverOptions, Discoverer};
-/// use cfd_core::FastCfd;
+/// use cfd_core::api::{Algo, Control, DiscoverOptions, RunContext};
+/// use cfd_partition::{PartitionStore, RelationIndex};
 ///
 /// let rel = cfd_datagen::cust::cust_relation();
-/// let d = FastCfd::new(1)
-///     .discover_with(&rel, &DiscoverOptions::new(2), &Control::default())
-///     .unwrap();
-/// assert!(d.cover.iter().all(|c| cfd_model::satisfies(&rel, c)));
+/// let (opts, ctrl) = (DiscoverOptions::new(2), Control::default());
+/// let cold = Algo::Ctane.execute(&rel, RunContext::new(&opts, &ctrl)).unwrap();
+/// // a store that outlives the run: the second run starts warm
+/// let index = RelationIndex::new(&rel);
+/// let mut store = PartitionStore::new(usize::MAX).retain_across_runs();
+/// for _ in 0..2 {
+///     let ctx = RunContext {
+///         index: Some(&index),
+///         store: Some(&mut store),
+///         ..RunContext::new(&opts, &ctrl)
+///     };
+///     let warm = Algo::Ctane.execute(&rel, ctx).unwrap();
+///     assert_eq!(warm.cover.cfds(), cold.cover.cfds());
+///     assert_eq!(warm.measures, cold.measures);
+/// }
 /// ```
-pub trait Discoverer {
-    /// The registry identity of this algorithm.
-    fn algo(&self) -> Algo;
+pub struct RunContext<'a> {
+    /// The options; [`Algo::execute`] validates them first.
+    pub opts: &'a DiscoverOptions,
+    /// Cancellation, deadline, progress and metrics hooks.
+    pub ctrl: &'a Control<'a>,
+    /// A caller-owned per-column value index over the relation — the
+    /// cache `cfd serve` shares across every job on one dataset.
+    /// Consulted by the CTANE/TANE search and by the kernel measuring
+    /// pass; `None` builds private indexes lazily.
+    pub index: Option<&'a RelationIndex>,
+    /// A caller-owned CTANE partition store to warm-start from (see
+    /// [`Ctane::run`]); it comes back with every pin released. Other
+    /// algorithms ignore it.
+    pub store: Option<&'a mut PartitionStore<Pattern>>,
+    /// The TANE counterpart of [`RunContext::store`], keyed by attribute
+    /// set (see [`Tane::run`]). Other algorithms ignore it.
+    pub fd_store: Option<&'a mut PartitionStore<AttrSet>>,
+}
 
-    /// The instrumented core: discover on `rel` as configured by
-    /// `opts`, polling `ctrl` at coarse checkpoints and filling
-    /// `stats`. Prefer [`Discoverer::discover_with`], which adds
-    /// validation, projection, filtering and note synthesis.
-    fn run(
-        &self,
-        rel: &Relation,
-        opts: &DiscoverOptions,
-        ctrl: &Control<'_>,
-        stats: &mut SearchStats,
-    ) -> Result<CanonicalCover, DiscoverError>;
-
-    /// [`Discoverer::run`] with self-reported rule measures: algorithms
-    /// that already hold the groupings behind each emitted rule (the
-    /// level-wise miners' partitions, CFDMiner's free-set supports)
-    /// return `Some(measures)` aligned with the cover's canonical
-    /// order, and [`Discoverer::discover_with`] skips its kernel
-    /// measuring pass entirely. The default returns `None` — the
-    /// kernel pass measures the cover in one sharded scan.
-    fn run_measured(
-        &self,
-        rel: &Relation,
-        opts: &DiscoverOptions,
-        ctrl: &Control<'_>,
-        stats: &mut SearchStats,
-    ) -> Result<(CanonicalCover, Option<Vec<RuleMeasure>>), DiscoverError> {
-        Ok((self.run(rel, opts, ctrl, stats)?, None))
+impl<'a> RunContext<'a> {
+    /// A context with no caller-owned caches: every run builds its own.
+    pub fn new(opts: &'a DiscoverOptions, ctrl: &'a Control<'a>) -> RunContext<'a> {
+        RunContext {
+            opts,
+            ctrl,
+            index: None,
+            store: None,
+            fd_store: None,
+        }
     }
+}
 
-    /// [`Discoverer::run_measured`] against a caller-owned
-    /// [`RelationIndex`] — the per-dataset column cache a resident
-    /// server shares across jobs. Algorithms that consult per-column
-    /// value regions (CTANE's level-1 seeding and constant
-    /// refinements) override this to reuse the shared cache; the
-    /// default ignores the index and runs normally, so every
-    /// implementor stays correct. Output is byte-identical either way.
-    fn run_measured_indexed(
-        &self,
-        rel: &Relation,
-        index: &RelationIndex,
-        opts: &DiscoverOptions,
-        ctrl: &Control<'_>,
-        stats: &mut SearchStats,
-    ) -> Result<(CanonicalCover, Option<Vec<RuleMeasure>>), DiscoverError> {
-        let _ = index;
-        self.run_measured(rel, opts, ctrl, stats)
-    }
-
-    /// Full-service discovery: validates `opts`, projects, runs,
-    /// filters, and returns the structured [`Discovery`].
-    fn discover_with(
+impl Algo {
+    /// [`Algo::execute`] with no caller-owned caches.
+    pub fn discover_with(
         &self,
         rel: &Relation,
         opts: &DiscoverOptions,
         ctrl: &Control<'_>,
     ) -> Result<Discovery, DiscoverError> {
-        self.discover_indexed(rel, None, opts, ctrl)
+        self.execute(rel, RunContext::new(opts, ctrl))
     }
 
-    /// [`Discoverer::discover_with`] with an optional shared
-    /// [`RelationIndex`] over `rel` — the job-facing entry point of a
-    /// resident server (`cfd serve`): the registry builds one index per
-    /// registered dataset and every discover/measure job on that
-    /// dataset reuses it, so per-column value regions are computed once
-    /// per dataset rather than once per request. The index is consulted
-    /// by the search (where the algorithm supports it) *and* by the
-    /// kernel measuring pass. When [`DiscoverOptions::project`] is set
-    /// the index describes the wrong relation and is ignored for that
-    /// run. The [`Discovery`] is byte-identical with or without the
-    /// index.
-    fn discover_indexed(
+    /// [`Algo::execute`] with an optional shared [`RelationIndex`] over
+    /// `rel` — the job-facing call of a resident server (`cfd serve`):
+    /// the registry builds one index per registered dataset and every
+    /// discover job on it reuses the per-column value regions.
+    pub fn discover_indexed(
         &self,
         rel: &Relation,
         index: Option<&RelationIndex>,
         opts: &DiscoverOptions,
         ctrl: &Control<'_>,
     ) -> Result<Discovery, DiscoverError> {
+        self.execute(
+            rel,
+            RunContext {
+                index,
+                ..RunContext::new(opts, ctrl)
+            },
+        )
+    }
+
+    /// The discovery pipeline: validates the options, notes the ones
+    /// this algorithm ignores, projects, searches, post-filters for
+    /// `constants_only`, measures every rule, keeps the `top_k`, and
+    /// mirrors the run's counters into the attached metrics sink.
+    ///
+    /// When [`DiscoverOptions::project`] is set, the caller's index and
+    /// stores describe the wrong relation and are ignored for that run.
+    ///
+    /// ```
+    /// use cfd_core::api::{Algo, Control, DiscoverOptions, RunContext};
+    ///
+    /// let rel = cfd_datagen::cust::cust_relation();
+    /// let (opts, ctrl) = (DiscoverOptions::default(), Control::default());
+    /// let d = Algo::Ctane.execute(&rel, RunContext::new(&opts, &ctrl)).unwrap();
+    /// assert!(!d.cover.is_empty());
+    /// // every rule comes back measured: exact discovery means every
+    /// // measure is violation-free
+    /// assert_eq!(d.measures.len(), d.cover.len());
+    /// assert!(d.measures.iter().all(|m| m.violations == 0));
+    /// ```
+    pub fn execute(
+        &self,
+        rel: &Relation,
+        mut ctx: RunContext<'_>,
+    ) -> Result<Discovery, DiscoverError> {
+        let (algo, opts, ctrl) = (*self, ctx.opts, ctx.ctrl);
         opts.validate(rel)?;
-        let algo = self.algo();
         let mut notes = Vec::new();
         if opts.max_lhs.is_some() && !algo.honors_max_lhs() {
             notes.push(Note {
@@ -727,16 +726,15 @@ pub trait Discoverer {
             None => None,
         };
         let work = projected.as_ref().unwrap_or(rel);
-        // a projection changes the relation the index was built for —
-        // fall back to a private index for that run
-        let index = if projected.is_some() { None } else { index };
+        if projected.is_some() {
+            // the caller's caches describe the unprojected relation
+            ctx = RunContext::new(opts, ctrl);
+        }
+        let index = ctx.index;
         let mut stats = SearchStats::default();
         let (mut cover, mut self_measures) = {
             let _sp = cfd_obs::span!("discover.run");
-            match index {
-                Some(ix) => self.run_measured_indexed(work, ix, opts, ctrl, &mut stats)?,
-                None => self.run_measured(work, opts, ctrl, &mut stats)?,
-            }
+            algo.search(work, ctx, &mut stats)?
         };
         if opts.constants_only && !algo.constants_native() {
             // post-filter to the constant fragment, keeping any
@@ -759,10 +757,10 @@ pub trait Discoverer {
             }
         }
         // annotate every rule with its measured support and confidence.
-        // The level-wise miners measure at emission from the partitions
-        // they already hold (`run_measured`); everything else gets one
-        // kernel CoverPlan pass (sharded like `cfd check`), aligned
-        // with the cover's canonical order.
+        // The level-wise miners and CFDMiner measure at emission from
+        // what they already hold; everything else gets one kernel
+        // CoverPlan pass (sharded like `cfd check`), aligned with the
+        // cover's canonical order.
         let t_measure = std::time::Instant::now();
         let mut measures: Vec<RuleMeasure> = match self_measures {
             Some(ms) => ms,
@@ -834,251 +832,67 @@ pub trait Discoverer {
         })
     }
 
-    /// One-call discovery with the paper's default options (`k = 2`,
-    /// exact, serial) — the shortest path from a relation to a
-    /// structured [`Discovery`]:
-    ///
-    /// ```
-    /// use cfd_core::api::{Algo, Discoverer};
-    ///
-    /// let rel = cfd_datagen::cust::cust_relation();
-    /// let d = Algo::Ctane.discover(&rel).unwrap();
-    /// assert!(!d.cover.is_empty());
-    /// // every rule comes back measured: exact discovery means every
-    /// // measure is violation-free
-    /// assert_eq!(d.measures.len(), d.cover.len());
-    /// assert!(d.measures.iter().all(|m| m.violations == 0));
-    /// ```
-    fn discover(&self, rel: &Relation) -> Result<Discovery, DiscoverError> {
-        self.discover_with(rel, &DiscoverOptions::default(), &Control::default())
-    }
-}
-
-impl CfdMiner {
-    /// The instance `discover_with` actually runs: shared knobs from
-    /// the options, ablation knobs from `self`.
-    fn configured(&self, opts: &DiscoverOptions) -> CfdMiner {
-        CfdMiner::new(opts.k)
-            .min_confidence(opts.min_confidence)
-            .threads(opts.threads.max(1))
-    }
-}
-
-impl Discoverer for CfdMiner {
-    fn algo(&self) -> Algo {
-        Algo::CfdMiner
-    }
-
-    fn run(
-        &self,
+    /// The search step of [`Algo::execute`]: runs this algorithm's
+    /// miner, configured from the options — the one place the shared
+    /// knobs reach the miners (ablation knobs keep their paper
+    /// defaults). Miners that measure at emission return their measures
+    /// too.
+    fn search(
+        self,
         rel: &Relation,
-        opts: &DiscoverOptions,
-        ctrl: &Control<'_>,
-        stats: &mut SearchStats,
-    ) -> Result<CanonicalCover, DiscoverError> {
-        Ok(self.configured(opts).run(rel, ctrl, stats)?)
-    }
-
-    fn run_measured(
-        &self,
-        rel: &Relation,
-        opts: &DiscoverOptions,
-        ctrl: &Control<'_>,
+        ctx: RunContext<'_>,
         stats: &mut SearchStats,
     ) -> Result<(CanonicalCover, Option<Vec<RuleMeasure>>), DiscoverError> {
-        let (cover, measures) = self.configured(opts).run_measured(rel, ctrl, stats)?;
-        Ok((cover, Some(measures)))
-    }
-}
-
-impl Ctane {
-    /// The instance `discover_with` actually runs: shared knobs from
-    /// the options, ablation knobs (cache budget) from `self`.
-    fn configured(&self, opts: &DiscoverOptions) -> Ctane {
-        Ctane {
-            k: opts.k,
-            max_lhs: opts.max_lhs,
-            min_confidence: opts.min_confidence,
-            threads: opts.threads.max(1),
-            ..*self
-        }
-    }
-}
-
-impl Discoverer for Ctane {
-    fn algo(&self) -> Algo {
-        Algo::Ctane
-    }
-
-    fn run(
-        &self,
-        rel: &Relation,
-        opts: &DiscoverOptions,
-        ctrl: &Control<'_>,
-        stats: &mut SearchStats,
-    ) -> Result<CanonicalCover, DiscoverError> {
-        Ok(self.configured(opts).run(rel, ctrl, stats)?)
-    }
-
-    fn run_measured(
-        &self,
-        rel: &Relation,
-        opts: &DiscoverOptions,
-        ctrl: &Control<'_>,
-        stats: &mut SearchStats,
-    ) -> Result<(CanonicalCover, Option<Vec<RuleMeasure>>), DiscoverError> {
-        let (cover, measures) = self.configured(opts).run_measured(rel, ctrl, stats)?;
-        Ok((cover, Some(measures)))
-    }
-
-    fn run_measured_indexed(
-        &self,
-        rel: &Relation,
-        index: &RelationIndex,
-        opts: &DiscoverOptions,
-        ctrl: &Control<'_>,
-        stats: &mut SearchStats,
-    ) -> Result<(CanonicalCover, Option<Vec<RuleMeasure>>), DiscoverError> {
-        let (cover, measures) = self
-            .configured(opts)
-            .run_measured_indexed(rel, index, ctrl, stats)?;
-        Ok((cover, Some(measures)))
-    }
-}
-
-impl Discoverer for FastCfd {
-    fn algo(&self) -> Algo {
-        if self.mode == DiffSetMode::StrippedPartitions {
-            Algo::Naive
-        } else {
-            Algo::FastCfd
-        }
-    }
-
-    fn run(
-        &self,
-        rel: &Relation,
-        opts: &DiscoverOptions,
-        ctrl: &Control<'_>,
-        stats: &mut SearchStats,
-    ) -> Result<CanonicalCover, DiscoverError> {
-        // shared knobs from opts; ablation knobs (mode, reordering,
-        // constant-CFD delegation, free-set pruning) from self
-        let alg = FastCfd {
-            k: opts.k,
-            threads: opts.threads.max(1),
-            ..*self
-        };
-        Ok(alg.run(rel, ctrl, stats)?)
-    }
-}
-
-/// The instance `discover_with` actually runs: shared knobs from the
-/// options, ablation knobs (cache budget) from `base`.
-fn configured_tane(base: &Tane, opts: &DiscoverOptions) -> Tane {
-    base.with_shared_knobs(opts.max_lhs, opts.min_confidence, opts.threads)
-}
-
-impl Discoverer for Tane {
-    fn algo(&self) -> Algo {
-        Algo::Tane
-    }
-
-    fn run(
-        &self,
-        rel: &Relation,
-        opts: &DiscoverOptions,
-        ctrl: &Control<'_>,
-        stats: &mut SearchStats,
-    ) -> Result<CanonicalCover, DiscoverError> {
-        Ok(configured_tane(self, opts).run(rel, ctrl, stats)?)
-    }
-
-    fn run_measured(
-        &self,
-        rel: &Relation,
-        opts: &DiscoverOptions,
-        ctrl: &Control<'_>,
-        stats: &mut SearchStats,
-    ) -> Result<(CanonicalCover, Option<Vec<RuleMeasure>>), DiscoverError> {
-        let (cover, measures) = configured_tane(self, opts).run_measured(rel, ctrl, stats)?;
-        Ok((cover, Some(measures)))
-    }
-}
-
-impl Discoverer for FastFd {
-    fn algo(&self) -> Algo {
-        Algo::FastFd
-    }
-
-    fn run(
-        &self,
-        rel: &Relation,
-        _opts: &DiscoverOptions,
-        ctrl: &Control<'_>,
-        stats: &mut SearchStats,
-    ) -> Result<CanonicalCover, DiscoverError> {
-        Ok(FastFd::run(self, rel, ctrl, stats)?)
-    }
-}
-
-impl Discoverer for BruteForce {
-    fn algo(&self) -> Algo {
-        Algo::BruteForce
-    }
-
-    fn run(
-        &self,
-        rel: &Relation,
-        opts: &DiscoverOptions,
-        ctrl: &Control<'_>,
-        stats: &mut SearchStats,
-    ) -> Result<CanonicalCover, DiscoverError> {
-        if rel.arity() > 10 {
-            return Err(DiscoverError::Unsupported(format!(
-                "bruteforce is a test oracle; refusing arity {} > 10",
-                rel.arity()
-            )));
-        }
-        Ok(BruteForce::new(opts.k).run(rel, ctrl, stats)?)
-    }
-}
-
-impl Discoverer for Algo {
-    fn algo(&self) -> Algo {
-        *self
-    }
-
-    fn run(
-        &self,
-        rel: &Relation,
-        opts: &DiscoverOptions,
-        ctrl: &Control<'_>,
-        stats: &mut SearchStats,
-    ) -> Result<CanonicalCover, DiscoverError> {
-        self.discoverer().run(rel, opts, ctrl, stats)
-    }
-
-    fn run_measured(
-        &self,
-        rel: &Relation,
-        opts: &DiscoverOptions,
-        ctrl: &Control<'_>,
-        stats: &mut SearchStats,
-    ) -> Result<(CanonicalCover, Option<Vec<RuleMeasure>>), DiscoverError> {
-        self.discoverer().run_measured(rel, opts, ctrl, stats)
-    }
-
-    fn run_measured_indexed(
-        &self,
-        rel: &Relation,
-        index: &RelationIndex,
-        opts: &DiscoverOptions,
-        ctrl: &Control<'_>,
-        stats: &mut SearchStats,
-    ) -> Result<(CanonicalCover, Option<Vec<RuleMeasure>>), DiscoverError> {
-        self.discoverer()
-            .run_measured_indexed(rel, index, opts, ctrl, stats)
+        let RunContext {
+            opts,
+            ctrl,
+            index,
+            store,
+            fd_store,
+        } = ctx;
+        let (k, theta, threads) = (opts.k, opts.min_confidence, opts.threads);
+        let measured = |(cover, measures)| (cover, Some(measures));
+        Ok(match self {
+            Algo::CfdMiner => measured(
+                CfdMiner::new(k)
+                    .min_confidence(theta)
+                    .threads(threads)
+                    .run(rel, ctrl, stats)?,
+            ),
+            Algo::Ctane => {
+                let mut ctane = Ctane::new(k).min_confidence(theta).threads(threads);
+                if let Some(m) = opts.max_lhs {
+                    ctane = ctane.max_lhs(m);
+                }
+                measured(ctane.run(rel, index, store, ctrl, stats)?)
+            }
+            Algo::FastCfd => (
+                FastCfd::new(k).threads(threads).run(rel, ctrl, stats)?,
+                None,
+            ),
+            Algo::Naive => (
+                FastCfd::naive(k).threads(threads).run(rel, ctrl, stats)?,
+                None,
+            ),
+            Algo::Tane => {
+                let mut tane = Tane::new().min_confidence(theta).threads(threads);
+                if let Some(m) = opts.max_lhs {
+                    tane = tane.max_lhs(m);
+                }
+                measured(tane.run(rel, index, fd_store, ctrl, stats)?)
+            }
+            Algo::FastFd => (FastFd::new().threads(threads).run(rel, ctrl, stats)?, None),
+            Algo::BruteForce if rel.arity() > 10 => {
+                return Err(DiscoverError::Unsupported(format!(
+                    "bruteforce is a test oracle; refusing arity {} > 10",
+                    rel.arity()
+                )))
+            }
+            Algo::BruteForce => (
+                BruteForce::new(k).threads(threads).run(rel, ctrl, stats)?,
+                None,
+            ),
+        })
     }
 }
 
@@ -1139,7 +953,7 @@ mod tests {
         let rel = cust_relation();
         for k in [1, 2, 3] {
             let legacy = FastCfd::new(k).discover(&rel);
-            let unified = FastCfd::new(1)
+            let unified = Algo::FastCfd
                 .discover_with(&rel, &DiscoverOptions::new(k), &Control::default())
                 .unwrap();
             assert_eq!(legacy.cfds(), unified.cover.cfds(), "k={k}");
@@ -1180,9 +994,10 @@ mod tests {
     #[test]
     fn ignored_options_become_notes() {
         let rel = cust_relation();
-        // every algorithm honors --threads now (the level-wise miners
-        // shard their level expansion, CFDMiner its mining pass), so a
-        // thread count never produces a note
+        // every algorithm honors --threads (the level-wise miners shard
+        // their level expansion, CFDMiner its mining pass, FastCFD,
+        // FastFD and the oracle their RHS attributes), so a thread count
+        // never produces a note
         for algo in Algo::all() {
             let d = algo
                 .discover_with(

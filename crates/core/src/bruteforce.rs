@@ -11,21 +11,31 @@ use cfd_model::attrset::AttrSet;
 use cfd_model::cfd::Cfd;
 use cfd_model::cover::CanonicalCover;
 use cfd_model::pattern::{PVal, Pattern};
-use cfd_model::progress::{Cancelled, Control, SearchStats};
+use cfd_model::progress::{shard_runs, Cancelled, Control, SearchStats};
 use cfd_model::relation::Relation;
+use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Exhaustive discovery of the canonical cover (minimal, k-frequent
 /// constant + variable CFDs).
 #[derive(Clone, Copy, Debug)]
 pub struct BruteForce {
     k: usize,
+    threads: usize,
 }
 
 impl BruteForce {
     /// Creates the oracle with support threshold `k ≥ 1`.
     pub fn new(k: usize) -> BruteForce {
         assert!(k >= 1, "support threshold must be at least 1");
-        BruteForce { k }
+        BruteForce { k, threads: 1 }
+    }
+
+    /// Enumerates the RHS attributes on `threads` workers (`1`, the
+    /// default, keeps the serial loop); the cover is identical for
+    /// every thread count.
+    pub(crate) fn threads(mut self, threads: usize) -> BruteForce {
+        self.threads = threads.max(1);
+        self
     }
 
     /// Enumerates the canonical cover of `rel`. Cost is
@@ -50,16 +60,31 @@ impl BruteForce {
             arity <= 10,
             "brute force is a test oracle; refusing arity {arity} > 10"
         );
-        let mut out: Vec<Cfd> = Vec::new();
-        for rhs in 0..arity {
-            let lhs_universe = AttrSet::full(arity).without(rhs);
-            for lhs_attrs in lhs_universe.subsets() {
-                ctrl.check()?;
-                let attrs: Vec<usize> = lhs_attrs.iter().collect();
-                let mut pattern_vals: Vec<PVal> = Vec::with_capacity(attrs.len());
-                self.enumerate(rel, &attrs, &mut pattern_vals, rhs, &mut out, stats);
-            }
-            ctrl.report("rhs", rhs + 1, arity);
+        // a run cannot fail, so a run that sees the control trip stops
+        // early and flags it; the flag turns into the error afterwards
+        let stopped = AtomicBool::new(false);
+        let rhs_attrs: Vec<usize> = (0..arity).collect();
+        let out = shard_runs(
+            &rhs_attrs,
+            self.threads,
+            ctrl,
+            stats,
+            Vec::new,
+            |&rhs, pattern_vals, stats, out| {
+                let lhs_universe = AttrSet::full(arity).without(rhs);
+                for lhs_attrs in lhs_universe.subsets() {
+                    if ctrl.check().is_err() {
+                        stopped.store(true, Ordering::Relaxed);
+                        return;
+                    }
+                    let attrs: Vec<usize> = lhs_attrs.iter().collect();
+                    self.enumerate(rel, &attrs, pattern_vals, rhs, out, stats);
+                }
+                ctrl.report("rhs", rhs + 1, arity);
+            },
+        )?;
+        if stopped.into_inner() {
+            return Err(Cancelled);
         }
         Ok(CanonicalCover::from_cfds(out))
     }
@@ -161,6 +186,25 @@ mod tests {
                 assert!(support(&r, cfd) >= k);
                 assert!(is_minimal(&r, cfd, k));
             }
+        }
+    }
+
+    #[test]
+    fn threads_do_not_change_the_cover() {
+        let r = cust_relation();
+        for k in [1, 2] {
+            let serial = BruteForce::new(k).discover(&r);
+            let mut stats = SearchStats::default();
+            let sharded = BruteForce::new(k)
+                .threads(3)
+                .run(&r, &Control::default(), &mut stats)
+                .unwrap();
+            assert_eq!(serial.cfds(), sharded.cfds(), "k={k}");
+            assert_eq!(
+                stats.emitted as usize,
+                sharded.len(),
+                "worker stats are merged"
+            );
         }
     }
 

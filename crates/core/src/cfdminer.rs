@@ -78,26 +78,17 @@ impl CfdMiner {
     pub fn discover(&self, rel: &Relation) -> CanonicalCover {
         self.run(rel, &Control::default(), &mut SearchStats::default())
             .expect("default Control is never cancelled")
+            .0
     }
 
     /// [`CfdMiner::discover`] with run control and instrumentation:
     /// polls `ctrl` after the mining phase, times `mine`, and counts
     /// free/closed sets plus candidate RHS items (`candidates`) and
-    /// items rejected as non-minimal (`pruned`).
+    /// items rejected as non-minimal (`pruned`). Each rule comes back
+    /// with its [`RuleMeasure`] (aligned with the cover's canonical
+    /// order) — free-set supports and per-value frequencies the mining
+    /// pass already computed, so no separate measuring scan is needed.
     pub fn run(
-        &self,
-        rel: &Relation,
-        ctrl: &Control<'_>,
-        stats: &mut SearchStats,
-    ) -> Result<CanonicalCover, Cancelled> {
-        Ok(self.run_measured(rel, ctrl, stats)?.0)
-    }
-
-    /// [`CfdMiner::run`], additionally returning each rule's
-    /// [`RuleMeasure`] (aligned with the cover's canonical order) —
-    /// free-set supports and per-value frequencies the mining pass
-    /// already computed, so no separate measuring scan is needed.
-    pub fn run_measured(
         &self,
         rel: &Relation,
         ctrl: &Control<'_>,
@@ -131,27 +122,16 @@ impl CfdMiner {
         ))
     }
 
-    /// Discovery over an existing mining result (FastCFD shares the
-    /// k-frequent free sets with CFDMiner, so the mining cost is paid
-    /// once).
-    pub fn discover_from_mined(&self, mined: &Mined) -> CanonicalCover {
-        self.mined_with_stats(mined, &mut SearchStats::default())
-    }
-
-    /// [`CfdMiner::discover_from_mined`] filling `stats` (the entry
-    /// point FastCFD shares when it delegates constant CFDs here).
-    pub(crate) fn mined_with_stats(
-        &self,
-        mined: &Mined,
-        stats: &mut SearchStats,
-    ) -> CanonicalCover {
-        CanonicalCover::from_cfds(self.exact_rules(mined, stats).0)
-    }
-
     /// The exact free/closed RHS pass, with each emitted rule's measure
     /// — `RuleMeasure::exact(support)` by construction: the RHS item
     /// lies in the closure, so every supporting tuple carries it.
-    fn exact_rules(&self, mined: &Mined, stats: &mut SearchStats) -> (Vec<Cfd>, Vec<RuleMeasure>) {
+    /// FastCFD delegates its constant CFDs here, over the free sets it
+    /// mined itself, so the mining cost is paid once.
+    pub(crate) fn exact_rules(
+        &self,
+        mined: &Mined,
+        stats: &mut SearchStats,
+    ) -> (Vec<Cfd>, Vec<RuleMeasure>) {
         stats.free_sets += mined.free.len() as u64;
         stats.closed_sets += mined.closed.len() as u64;
         let mut out: Vec<Cfd> = Vec::new();

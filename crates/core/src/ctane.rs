@@ -280,73 +280,73 @@ impl Ctane {
 
     /// Discovers the canonical cover of minimal k-frequent CFDs.
     pub fn discover(&self, rel: &Relation) -> CanonicalCover {
-        self.run(rel, &Control::default(), &mut SearchStats::default())
-            .expect("default Control is never cancelled")
+        self.run(
+            rel,
+            None,
+            None,
+            &Control::default(),
+            &mut SearchStats::default(),
+        )
+        .expect("default Control is never cancelled")
+        .0
     }
 
     /// [`Ctane::discover`] with run control and instrumentation: polls
     /// `ctrl` once per lattice level (and per prefix run inside the
     /// expansion workers), reports `level` progress, and counts
     /// validity tests (`candidates`), retired lattice elements
-    /// (`pruned`) and materialized partitions (`partitions`).
+    /// (`pruned`) and materialized partitions (`partitions`). Each
+    /// rule comes back with its [`RuleMeasure`] (aligned with the
+    /// cover's canonical order), computed at emission from the
+    /// partitions the walk already holds.
+    ///
+    /// `index` is a caller-owned [`RelationIndex`] over `rel` — the
+    /// per-column value regions that seed level 1 and drive each
+    /// constant refinement, which a resident server shares across jobs
+    /// on one dataset; `None` builds a private one lazily. `store` is a
+    /// caller-owned [`PartitionStore`] to warm-start from: entries
+    /// already in it (seeded from a stream engine's group indexes, or
+    /// left over from an earlier run on the same relation) are
+    /// consulted before the level-1 partitions are built and by the
+    /// approximate validity test before any rebuild; the working set
+    /// the walk pins always wins over stale entries, because
+    /// [`PartitionStore::insert_pinned`] replaces by key. The caller's
+    /// store keeps its own byte budget ([`Ctane::cache_budget`] sizes only a
+    /// private store), comes back with every pin released (entries stay
+    /// resident but evictable), and `stats.store` reports only this
+    /// run's traffic. The cover is byte-identical either way: the index
+    /// and the store trade recomputation only, never search decisions.
     pub fn run(
         &self,
         rel: &Relation,
-        ctrl: &Control<'_>,
-        stats: &mut SearchStats,
-    ) -> Result<CanonicalCover, Cancelled> {
-        Ok(self.run_measured(rel, ctrl, stats)?.0)
-    }
-
-    /// [`Ctane::run`], additionally returning each rule's
-    /// [`RuleMeasure`] (aligned with the cover's canonical order) —
-    /// computed at emission from the partitions the walk already holds,
-    /// so no separate measuring pass over the relation is needed.
-    pub fn run_measured(
-        &self,
-        rel: &Relation,
+        index: Option<&RelationIndex>,
+        store: Option<&mut PartitionStore<Pattern>>,
         ctrl: &Control<'_>,
         stats: &mut SearchStats,
     ) -> Result<(CanonicalCover, Vec<RuleMeasure>), Cancelled> {
-        // per-column value regions, built lazily and shared by every
-        // constant refinement of the run
-        let col_index = RelationIndex::new(rel);
-        self.run_measured_indexed(rel, &col_index, ctrl, stats)
+        let private_index;
+        let col_index = match index {
+            Some(ix) => ix,
+            None => {
+                private_index = RelationIndex::new(rel);
+                &private_index
+            }
+        };
+        match store {
+            Some(store) => {
+                let out = self.walk(rel, col_index, store, ctrl, stats);
+                store.unpin_all();
+                out
+            }
+            None => {
+                let mut store = PartitionStore::new(self.cache_budget);
+                self.walk(rel, col_index, &mut store, ctrl, stats)
+            }
+        }
     }
 
-    /// [`Ctane::run_measured`] against a caller-owned
-    /// [`RelationIndex`] — the value-index cache a resident server
-    /// shares across every job on the same registered dataset, so the
-    /// per-column counting passes that seed level 1 (and drive each
-    /// constant refinement) are paid once per dataset, not once per
-    /// request. The cover is byte-identical to a run with a private
-    /// index: the index caches pure per-column regions, never search
-    /// state.
-    pub fn run_measured_indexed(
-        &self,
-        rel: &Relation,
-        col_index: &RelationIndex,
-        ctrl: &Control<'_>,
-        stats: &mut SearchStats,
-    ) -> Result<(CanonicalCover, Vec<RuleMeasure>), Cancelled> {
-        let mut store: PartitionStore<Pattern> = PartitionStore::new(self.cache_budget);
-        self.run_measured_seeded(rel, col_index, &mut store, ctrl, stats)
-    }
-
-    /// [`Ctane::run_measured_indexed`] against a caller-owned
-    /// [`PartitionStore`] — the warm-start entry point. Entries already
-    /// in `store` (seeded from a stream engine's group indexes, or left
-    /// over from a previous run on the same relation) are consulted
-    /// before the level-1 partitions are built and by the approximate
-    /// validity test before any rebuild; the working set the walk pins
-    /// always wins over stale entries because
-    /// [`PartitionStore::insert_pinned`] replaces by key. The cover is
-    /// byte-identical to a cold run: cached partitions trade
-    /// recomputation only, never search decisions. The caller's store
-    /// keeps its own byte budget (`self.cache_budget` is ignored here),
-    /// and `stats.store` reports only this run's hits and misses even
-    /// when the store carries counts from earlier runs.
-    pub fn run_measured_seeded(
+    /// The lattice walk behind [`Ctane::run`].
+    fn walk(
         &self,
         rel: &Relation,
         col_index: &RelationIndex,
@@ -1070,7 +1070,13 @@ mod engine_tests {
         for theta in [0.6, 1.0] {
             let (cover, measures) = Ctane::new(2)
                 .min_confidence(theta)
-                .run_measured(&r, &Control::default(), &mut SearchStats::default())
+                .run(
+                    &r,
+                    None,
+                    None,
+                    &Control::default(),
+                    &mut SearchStats::default(),
+                )
                 .unwrap();
             assert_eq!(cover.len(), measures.len());
             for (cfd, m) in cover.iter().zip(&measures) {

@@ -268,7 +268,7 @@ impl FastCfd {
         stats: &mut SearchStats,
     ) -> Result<CanonicalCover, Cancelled> {
         let t0 = std::time::Instant::now();
-        let mined = mine_free_closed(
+        let mined = &mine_free_closed(
             rel,
             self.k,
             MineOptions {
@@ -279,25 +279,6 @@ impl FastCfd {
         );
         stats.phase("mine", t0.elapsed());
         ctrl.check()?;
-        self.run_mined(rel, &mined, ctrl, stats)
-    }
-
-    /// Discovery over a pre-mined free-set collection (must have been
-    /// mined with the same `k` and with tidsets retained).
-    pub fn discover_from_mined(&self, rel: &Relation, mined: &Mined) -> CanonicalCover {
-        self.run_mined(rel, mined, &Control::default(), &mut SearchStats::default())
-            .expect("default Control is never cancelled")
-    }
-
-    /// [`FastCfd::discover_from_mined`] with run control and
-    /// instrumentation (see [`FastCfd::run`]).
-    pub fn run_mined(
-        &self,
-        rel: &Relation,
-        mined: &Mined,
-        ctrl: &Control<'_>,
-        stats: &mut SearchStats,
-    ) -> Result<CanonicalCover, Cancelled> {
         let mut out: Vec<Cfd> = Vec::new();
         if mined.free.is_empty() {
             return Ok(CanonicalCover::from_cfds(out));
@@ -308,8 +289,8 @@ impl FastCfd {
             stats.phase("index", t0.elapsed());
         }
         if self.constants_via_cfdminer {
-            // mined_with_stats counts free/closed sets itself
-            out.extend(CfdMiner::new(self.k).mined_with_stats(mined, stats));
+            // exact_rules counts free/closed sets itself
+            out.extend(CfdMiner::new(self.k).exact_rules(mined, stats).0);
         } else {
             stats.free_sets += mined.free.len() as u64;
             stats.closed_sets += mined.closed.len() as u64;

@@ -38,7 +38,7 @@ pub mod ctane;
 pub mod fastcfd;
 pub mod minimality;
 
-pub use api::{Algo, DiscoverError, DiscoverOptions, Discoverer, Discovery, Note, UnknownAlgo};
+pub use api::{Algo, DiscoverError, DiscoverOptions, Discovery, Note, RunContext, UnknownAlgo};
 pub use bruteforce::BruteForce;
 pub use cfdminer::CfdMiner;
 pub use ctane::Ctane;

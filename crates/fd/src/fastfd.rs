@@ -10,7 +10,7 @@
 use cfd_model::attrset::AttrSet;
 use cfd_model::cfd::Cfd;
 use cfd_model::cover::CanonicalCover;
-use cfd_model::progress::{Cancelled, Control, SearchStats};
+use cfd_model::progress::{shard_runs, Cancelled, Control, SearchStats};
 use cfd_model::relation::Relation;
 use cfd_model::schema::AttrId;
 use cfd_partition::agree::agree_sets;
@@ -19,17 +19,30 @@ use cfd_partition::agree::agree_sets;
 #[derive(Clone, Copy, Debug, Default)]
 pub struct FastFd {
     pub(crate) no_reorder: bool,
+    pub(crate) threads: usize,
 }
 
 impl FastFd {
     /// Creates the algorithm (dynamic reordering on).
     pub fn new() -> FastFd {
-        FastFd { no_reorder: false }
+        FastFd {
+            no_reorder: false,
+            threads: 1,
+        }
     }
 
     /// Disables dynamic attribute reordering (ablation knob).
     pub fn dynamic_reorder(mut self, on: bool) -> FastFd {
         self.no_reorder = !on;
+        self
+    }
+
+    /// Shards the per-RHS cover search across `threads` workers (`1`,
+    /// the default, keeps the serial loop). The agree sets are shared
+    /// read-only and results merge in RHS order, so the output is
+    /// byte-identical for every thread count.
+    pub fn threads(mut self, threads: usize) -> FastFd {
+        self.threads = threads.max(1);
         self
     }
 
@@ -51,56 +64,74 @@ impl FastFd {
         stats: &mut SearchStats,
     ) -> Result<CanonicalCover, Cancelled> {
         let arity = rel.arity();
-        let full = AttrSet::full(arity);
-        let mut out: Vec<Cfd> = Vec::new();
         if rel.n_rows() == 0 {
-            return Ok(CanonicalCover::from_cfds(out));
+            return Ok(CanonicalCover::from_cfds(Vec::new()));
         }
         let t0 = std::time::Instant::now();
         let agree = agree_sets(rel);
         stats.phase("agree-sets", t0.elapsed());
-        for rhs in 0..arity {
-            ctrl.check()?;
-            // Dᵐ_A(r): minimal difference sets of pairs disagreeing on A
-            let mut dm: Vec<AttrSet> = agree
-                .iter()
-                .filter(|ag| !ag.contains(rhs))
-                .map(|ag| full.difference(*ag).without(rhs))
-                .collect();
-            if dm.is_empty() {
-                // either A is constant (∅ → A: excluded by convention) or
-                // every pair disagreeing on A agrees nowhere
-                let col = rel.column(rhs);
-                let c0 = col.code(0);
-                let constant = rel.tuples().all(|t| col.code(t) == c0);
-                if constant {
-                    continue;
-                }
-                dm.push(full.without(rhs));
-            } else {
-                minimize(&mut dm);
-            }
-            if dm.iter().any(|d| d.is_empty()) {
-                // two tuples differ on A alone: no FD with RHS A
-                continue;
-            }
-            stats.diff_set_families += 1;
-            let candidates: Vec<AttrId> = full.without(rhs).iter().collect();
-            let stats = &mut *stats;
-            let mut emit = |y: AttrSet| {
-                stats.candidates += 1;
-                // minimal cover check
-                if y.iter().any(|b| covers(y.without(b), &dm)) {
-                    stats.pruned += 1;
-                    return;
-                }
-                stats.emitted += 1;
-                out.push(Cfd::fd(y, rhs));
-            };
-            self.find_min(&dm, &candidates, AttrSet::EMPTY, &mut emit);
-            ctrl.report("rhs", rhs + 1, arity);
-        }
+        let rhs_attrs: Vec<AttrId> = (0..arity).collect();
+        let out = shard_runs(
+            &rhs_attrs,
+            self.threads,
+            ctrl,
+            stats,
+            || (),
+            |&rhs, _, stats, out| {
+                self.cover_rhs(rel, &agree, rhs, stats, out);
+                ctrl.report("rhs", rhs + 1, arity);
+            },
+        )?;
         Ok(CanonicalCover::from_cfds(out))
+    }
+
+    /// The minimal FDs with RHS `rhs`: the minimal covers of the
+    /// minimal difference sets of the pairs disagreeing on it.
+    fn cover_rhs(
+        &self,
+        rel: &Relation,
+        agree: &[AttrSet],
+        rhs: AttrId,
+        stats: &mut SearchStats,
+        out: &mut Vec<Cfd>,
+    ) {
+        let full = AttrSet::full(rel.arity());
+        // Dᵐ_A(r): minimal difference sets of pairs disagreeing on A
+        let mut dm: Vec<AttrSet> = agree
+            .iter()
+            .filter(|ag| !ag.contains(rhs))
+            .map(|ag| full.difference(*ag).without(rhs))
+            .collect();
+        if dm.is_empty() {
+            // either A is constant (∅ → A: excluded by convention) or
+            // every pair disagreeing on A agrees nowhere
+            let col = rel.column(rhs);
+            let c0 = col.code(0);
+            let constant = rel.tuples().all(|t| col.code(t) == c0);
+            if constant {
+                return;
+            }
+            dm.push(full.without(rhs));
+        } else {
+            minimize(&mut dm);
+        }
+        if dm.iter().any(|d| d.is_empty()) {
+            // two tuples differ on A alone: no FD with RHS A
+            return;
+        }
+        stats.diff_set_families += 1;
+        let candidates: Vec<AttrId> = full.without(rhs).iter().collect();
+        let mut emit = |y: AttrSet| {
+            stats.candidates += 1;
+            // minimal cover check
+            if y.iter().any(|b| covers(y.without(b), &dm)) {
+                stats.pruned += 1;
+                return;
+            }
+            stats.emitted += 1;
+            out.push(Cfd::fd(y, rhs));
+        };
+        self.find_min(&dm, &candidates, AttrSet::EMPTY, &mut emit);
     }
 
     fn find_min(
@@ -197,6 +228,29 @@ mod tests {
                 fast.display(&r)
             );
             assert_eq!(fast.cfds(), noreorder.cfds(), "seed {seed} (reorder)");
+        }
+    }
+
+    #[test]
+    fn threads_do_not_change_the_cover() {
+        for seed in 0..10 {
+            let r = RandomRelation {
+                rows: 30,
+                arity: 6,
+                domain: 3,
+                seed,
+            }
+            .generate();
+            let serial = FastFd::new().discover(&r);
+            for t in [2, 4] {
+                let mut stats = SearchStats::default();
+                let sharded = FastFd::new()
+                    .threads(t)
+                    .run(&r, &Control::default(), &mut stats)
+                    .unwrap();
+                assert_eq!(serial.cfds(), sharded.cfds(), "seed {seed}, {t} threads");
+                assert!(stats.candidates > 0, "worker stats are merged");
+            }
         }
     }
 

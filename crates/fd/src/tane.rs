@@ -118,64 +118,69 @@ impl Tane {
         self
     }
 
-    /// Rebuilds the instance with the shared knobs the unified
-    /// discovery API supplies (`DiscoverOptions` is the source of
-    /// truth there), keeping the ablation knobs — the cache budget —
-    /// from `self`.
-    pub fn with_shared_knobs(&self, max_lhs: Option<usize>, theta: f64, threads: usize) -> Tane {
-        Tane {
-            max_lhs,
-            min_confidence: theta,
-            threads: threads.max(1),
-            cache_budget: self.cache_budget,
-        }
-    }
-
     /// Discovers all minimal FDs `X → A` with `X ≠ ∅` of `rel`, as
     /// all-wildcard variable CFDs.
     pub fn discover(&self, rel: &Relation) -> CanonicalCover {
-        self.run(rel, &Control::default(), &mut SearchStats::default())
-            .expect("default Control is never cancelled")
+        self.run(
+            rel,
+            None,
+            None,
+            &Control::default(),
+            &mut SearchStats::default(),
+        )
+        .expect("default Control is never cancelled")
+        .0
     }
 
     /// [`Tane::discover`] with run control and instrumentation: polls
     /// `ctrl` once per lattice level (and per prefix run inside the
     /// expansion workers), reports `level` progress, and counts
     /// dependency tests (`candidates`), pruned lattice nodes
-    /// (`pruned`) and materialized partitions (`partitions`).
+    /// (`pruned`) and materialized partitions (`partitions`). Each FD
+    /// comes back with its `RuleMeasure` (aligned with the cover's
+    /// canonical order), computed at emission from the partitions the
+    /// walk already holds.
+    ///
+    /// `index` and `store` are the caller-owned warm-start inputs, as
+    /// for `Ctane::run` in `cfd-core`: `None` builds a private
+    /// [`RelationIndex`] lazily and a private [`PartitionStore`] under
+    /// [`Tane::cache_budget`]. Pre-seeded (or left-over) store entries
+    /// are consulted by the approximate validity test before any
+    /// rebuild; a caller's store keeps its own byte budget, comes back
+    /// with every pin released, and `stats.store` reports only this
+    /// run's traffic. The cover is byte-identical to a cold run because
+    /// cached partitions trade recomputation only.
     pub fn run(
         &self,
         rel: &Relation,
-        ctrl: &Control<'_>,
-        stats: &mut SearchStats,
-    ) -> Result<CanonicalCover, Cancelled> {
-        Ok(self.run_measured(rel, ctrl, stats)?.0)
-    }
-
-    /// [`Tane::run`], additionally returning each FD's `RuleMeasure`
-    /// (aligned with the cover's canonical order) — computed at
-    /// emission from the partitions the walk already holds.
-    pub fn run_measured(
-        &self,
-        rel: &Relation,
+        index: Option<&RelationIndex>,
+        store: Option<&mut PartitionStore<AttrSet>>,
         ctrl: &Control<'_>,
         stats: &mut SearchStats,
     ) -> Result<(CanonicalCover, Vec<RuleMeasure>), Cancelled> {
-        let col_index = RelationIndex::new(rel);
-        let mut store: PartitionStore<AttrSet> = PartitionStore::new(self.cache_budget);
-        self.run_measured_seeded(rel, &col_index, &mut store, ctrl, stats)
+        let private_index;
+        let col_index = match index {
+            Some(ix) => ix,
+            None => {
+                private_index = RelationIndex::new(rel);
+                &private_index
+            }
+        };
+        match store {
+            Some(store) => {
+                let out = self.walk(rel, col_index, store, ctrl, stats);
+                store.unpin_all();
+                out
+            }
+            None => {
+                let mut store = PartitionStore::new(self.cache_budget);
+                self.walk(rel, col_index, &mut store, ctrl, stats)
+            }
+        }
     }
 
-    /// [`Tane::run_measured`] against a caller-owned [`RelationIndex`]
-    /// and [`PartitionStore`] — the warm-start entry point mirroring
-    /// `Ctane::run_measured_seeded` in `cfd-core`. Pre-seeded (or
-    /// left-over) store entries are consulted by the approximate
-    /// validity test before any rebuild; the cover is byte-identical to
-    /// a cold run because cached partitions trade recomputation only.
-    /// The caller's store keeps its own byte budget
-    /// (`self.cache_budget` is ignored here), and `stats.store` reports
-    /// only this run's hits and misses.
-    pub fn run_measured_seeded(
+    /// The lattice walk behind [`Tane::run`].
+    fn walk(
         &self,
         rel: &Relation,
         col_index: &RelationIndex,
@@ -692,7 +697,13 @@ mod engine_tests {
         for theta in [0.875, 1.0] {
             let (cover, measures) = Tane::new()
                 .min_confidence(theta)
-                .run_measured(&r, &Control::default(), &mut SearchStats::default())
+                .run(
+                    &r,
+                    None,
+                    None,
+                    &Control::default(),
+                    &mut SearchStats::default(),
+                )
                 .unwrap();
             assert_eq!(cover.len(), measures.len());
             for (cfd, m) in cover.iter().zip(&measures) {

@@ -8,8 +8,8 @@
 //! poll at coarse checkpoints, and [`SearchStats`], the
 //! machine-readable counters every algorithm fills in best-effort.
 //!
-//! The high-level API that consumes these (the `Discoverer` trait,
-//! `DiscoverOptions`, the `Algo` registry) lives in `cfd-core`; this
+//! The high-level API that consumes these (the `Algo` registry and
+//! its pipeline, `DiscoverOptions`) lives in `cfd-core`; this
 //! crate only hosts the types so that `cfd-fd`'s baselines can be
 //! instrumented without depending on `cfd-core`. Likewise the
 //! [`MetricsSink`] *trait* lives here so every layer (kernel, stream,

@@ -20,10 +20,9 @@
 use crate::protocol::{error_json, event, ServeError};
 use crate::registry::{lock_unpoisoned, Dataset};
 use crate::session::attach_rule_texts;
-use cfd_core::api::{Algo, DiscoverError, DiscoverOptions, Discoverer, SearchStats};
-use cfd_core::Ctane;
-use cfd_model::{CanonicalCover, Cfd, Control, Json, Relation, RuleMeasure};
-use cfd_partition::RelationIndex;
+use cfd_core::api::{Algo, DiscoverError, DiscoverOptions, RunContext};
+use cfd_model::{Cfd, Control, Json, RuleMeasure};
+use cfd_partition::PartitionStore;
 use cfd_stream::{CoverDelta, RemineOptions, StreamEngine};
 use cfd_validate::ValidateOptions;
 use std::collections::VecDeque;
@@ -237,8 +236,8 @@ impl Job {
 /// under a running job) and everything else was validated at
 /// submission, so workers never reject.
 pub enum JobSpec {
-    /// Discovery via [`Discoverer::discover_indexed`] against the
-    /// dataset's shared index.
+    /// Discovery via [`Algo::execute`] against the dataset's shared
+    /// index (and, for CTANE, a partition store).
     Discover {
         /// Target dataset.
         ds: Arc<Dataset>,
@@ -277,79 +276,6 @@ pub enum JobSpec {
     },
 }
 
-/// CTANE against a dataset's shared pinned [`PartitionStore`]: the
-/// default discover path for CTANE jobs without a per-job
-/// `cache_budget`. Same `Discoverer` contract (covers are
-/// byte-identical to a cold run — the store trades recomputation
-/// only), but stripped partitions survive the job inside the dataset,
-/// so the next CTANE job on it starts warm.
-///
-/// [`PartitionStore`]: cfd_partition::PartitionStore
-struct SeededCtane<'a> {
-    ds: &'a Dataset,
-}
-
-impl SeededCtane<'_> {
-    /// Mirrors `Ctane::configured`: shared knobs from the options.
-    fn configured(&self, opts: &DiscoverOptions) -> Ctane {
-        let mut ctane = Ctane::new(opts.k)
-            .min_confidence(opts.min_confidence)
-            .threads(opts.threads.max(1));
-        if let Some(max_lhs) = opts.max_lhs {
-            ctane = ctane.max_lhs(max_lhs);
-        }
-        ctane
-    }
-}
-
-impl Discoverer for SeededCtane<'_> {
-    fn algo(&self) -> Algo {
-        Algo::Ctane
-    }
-
-    fn run(
-        &self,
-        rel: &Relation,
-        opts: &DiscoverOptions,
-        ctrl: &Control<'_>,
-        stats: &mut SearchStats,
-    ) -> Result<CanonicalCover, DiscoverError> {
-        Ok(self.run_measured(rel, opts, ctrl, stats)?.0)
-    }
-
-    fn run_measured(
-        &self,
-        rel: &Relation,
-        opts: &DiscoverOptions,
-        ctrl: &Control<'_>,
-        stats: &mut SearchStats,
-    ) -> Result<(CanonicalCover, Option<Vec<RuleMeasure>>), DiscoverError> {
-        let index = RelationIndex::new(rel);
-        self.run_measured_indexed(rel, &index, opts, ctrl, stats)
-    }
-
-    fn run_measured_indexed(
-        &self,
-        rel: &Relation,
-        index: &RelationIndex,
-        opts: &DiscoverOptions,
-        ctrl: &Control<'_>,
-        stats: &mut SearchStats,
-    ) -> Result<(CanonicalCover, Option<Vec<RuleMeasure>>), DiscoverError> {
-        // lock_store recovers from poisoning (a panicked job restarts
-        // the cache cold) — one panic must not wedge the dataset
-        let mut store = self.ds.lock_store();
-        let out = self
-            .configured(opts)
-            .run_measured_seeded(rel, index, &mut store, ctrl, stats);
-        // release the run's pins so entries stay resident for the next
-        // job but become evictable under the dataset's byte budget
-        store.unpin_all();
-        let (cover, measures) = out?;
-        Ok((cover, Some(measures)))
-    }
-}
-
 /// Runs a spec under `ctrl`, returning the result document. This is
 /// the entire worker-side logic: cancellation surfaces as
 /// [`JobOutcome::Cancelled`], any other failure as a structured error.
@@ -361,17 +287,35 @@ pub fn run_spec(spec: &JobSpec, ctrl: &Control<'_>) -> JobOutcome {
             opts,
             cache_budget,
         } => {
-            // CTANE without an explicit budget warm-starts from the
-            // dataset's shared pinned store; an explicit
-            // `cache_budget_mb` keeps the old per-job private store
-            // (its budget is a per-job resource). Every other
-            // algorithm ignores both.
-            let disc: Box<dyn Discoverer + '_> = match (algo, cache_budget) {
-                (Algo::Ctane, Some(bytes)) => Box::new(Ctane::new(opts.k).cache_budget(*bytes)),
-                (Algo::Ctane, None) => Box::new(SeededCtane { ds }),
-                _ => algo.discoverer(),
+            // CTANE keeps its partitions in a store: by default the
+            // dataset's shared one, so the next CTANE job on it starts
+            // warm; under an explicit `cache_budget_mb` a private one
+            // (its budget is a per-job resource). Other algorithms
+            // ignore stores.
+            let outcome = {
+                let (mut shared, mut private);
+                let store = match (algo, cache_budget) {
+                    (Algo::Ctane, None) => {
+                        // lock_store recovers from poisoning (a panicked
+                        // job restarts the cache cold) — one panic must
+                        // not wedge the dataset
+                        shared = ds.lock_store();
+                        Some(&mut *shared)
+                    }
+                    (Algo::Ctane, Some(bytes)) => {
+                        private = PartitionStore::new(*bytes);
+                        Some(&mut private)
+                    }
+                    _ => None,
+                };
+                let ctx = RunContext {
+                    index: Some(&ds.index),
+                    store,
+                    ..RunContext::new(opts, ctrl)
+                };
+                algo.execute(&ds.rel, ctx)
             };
-            match disc.discover_indexed(&ds.rel, Some(&ds.index), opts, ctrl) {
+            match outcome {
                 Ok(d) => JobOutcome::Done(d.to_json(&ds.rel)),
                 Err(DiscoverError::Cancelled) => JobOutcome::Cancelled,
                 Err(e) => JobOutcome::Failed(ServeError::new("bad_options", e.to_string())),

@@ -425,12 +425,17 @@ impl Request {
                         _ => return Err(bad("field \"theta\" must be a number in (0, 1]")),
                     },
                 };
+                let k = match opt_usize_field(doc, "k")? {
+                    None => 1,
+                    Some(k) if k >= 1 => k,
+                    Some(_) => return Err(bad("field \"k\" must be at least 1")),
+                };
                 Ok(Request::Remine {
                     dataset: str_field(doc, "dataset")?,
                     rules: rules_field(doc)?,
                     theta,
                     expand: opt_usize_field(doc, "expand")?.unwrap_or(1),
-                    k: opt_usize_field(doc, "k")?.unwrap_or(1),
+                    k,
                     threads: opt_usize_field(doc, "threads")?.unwrap_or(1),
                     sync: opt_bool_field(doc, "sync")?,
                     timeout_ms: timeout_field(doc)?,
@@ -611,6 +616,14 @@ mod tests {
         let (_, e) =
             Request::parse("{\"op\": \"discover\", \"dataset\": \"t\", \"k\": -1}").unwrap_err();
         assert_eq!(e.code, "bad_request");
+        // a remine support threshold below 1 is rejected at admission,
+        // like an out-of-range theta — it never reaches a worker
+        let (op, e) = Request::parse(
+            "{\"op\": \"remine\", \"dataset\": \"t\", \"rules\": [\"r\"], \"k\": 0}",
+        )
+        .unwrap_err();
+        assert_eq!((op.as_deref(), e.code), (Some("remine"), "bad_request"));
+        assert!(e.message.contains("\"k\""), "{}", e.message);
         // bad algorithm name is an options error, not a shape error
         let (_, e) = Request::parse("{\"op\": \"discover\", \"dataset\": \"t\", \"algo\": \"x\"}")
             .unwrap_err();

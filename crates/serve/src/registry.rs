@@ -7,14 +7,15 @@
 //! concurrent jobs on the same dataset share both without copying and
 //! without re-deriving per-column partitions per request. Each dataset
 //! also pins a shared [`PartitionStore`] keyed by pattern: CTANE jobs
-//! without an explicit per-job `cache_budget` warm-start from it
-//! through `run_measured_seeded`, so the second discovery job on a
-//! dataset reuses the first job's stripped partitions instead of
-//! recomputing them (its per-run stats report the hits). The store
+//! without an explicit per-job `cache_budget` warm-start from it (the
+//! job hands it to `Algo::execute` in its run context), so the second
+//! discovery job on a dataset reuses the first job's stripped
+//! partitions instead of recomputing them (its per-run stats report
+//! the hits). The store
 //! sits behind a `Mutex` — two concurrent CTANE jobs on the *same*
 //! dataset serialize on it, which is the deliberate trade for
-//! cross-job reuse; a job that passes `cache_budget_mb` keeps the old
-//! private store and never touches the lock. DESIGN.md §12 and §13
+//! cross-job reuse; a job that passes `cache_budget_mb` runs against a
+//! fresh private store of that budget and never touches the lock. DESIGN.md §12 and §13
 //! spell out the split.
 //!
 //! Admission control is by resident bytes: the registry carries a

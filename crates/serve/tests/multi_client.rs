@@ -3,7 +3,7 @@
 //! byte-identical to one-shot library runs, cancellation of queued
 //! *and* running jobs, and structured (non-fatal) protocol errors.
 
-use cfd_core::api::{Algo, DiscoverOptions, Discoverer};
+use cfd_core::api::{Algo, DiscoverOptions};
 use cfd_core::FastCfd;
 use cfd_datagen::TaxGenerator;
 use cfd_model::cfd::parse_cfd;
@@ -552,6 +552,34 @@ fn second_ctane_job_warm_starts_from_the_dataset_store() {
     assert_eq!(
         rules_and_counts(cold.get("result").expect("result")),
         rules_and_counts(warm.get("result").expect("result"))
+    );
+
+    // a job naming cache_budget_mb runs against a fresh private store
+    // of that budget: it starts cold, and the dataset's shared store is
+    // left exactly as the warm job left it
+    let mut budgeted = discover();
+    if let Json::Obj(fields) = &mut budgeted {
+        fields.push(("cache_budget_mb".into(), Json::from(8usize)));
+    }
+    w.send(&budgeted);
+    let budgeted = w.reply();
+    assert_ok(&budgeted);
+    assert_eq!(
+        store_counters(&budgeted),
+        (cold_hits, cold_misses),
+        "the budgeted job did not run against a cold private store"
+    );
+    assert_eq!(
+        rules_and_counts(cold.get("result").expect("result")),
+        rules_and_counts(budgeted.get("result").expect("result"))
+    );
+    w.send(&discover());
+    let after = w.reply();
+    assert_ok(&after);
+    assert_eq!(
+        store_counters(&after),
+        (warm_hits, warm_misses),
+        "the budgeted job moved the dataset's shared store"
     );
 
     shutdown(&mut w, handle);

@@ -43,11 +43,10 @@
 
 use crate::delta::{BatchDelta, RuleId};
 use crate::engine::StreamEngine;
-use cfd_core::Ctane;
-use cfd_fd::Tane;
+use cfd_core::api::{Algo, DiscoverError, DiscoverOptions, RunContext};
 use cfd_model::attrset::AttrSet;
 use cfd_model::pattern::Pattern;
-use cfd_model::progress::{Cancelled, Control, SearchStats};
+use cfd_model::progress::{Cancelled, Control};
 use cfd_model::relation::TupleId;
 use cfd_model::schema::AttrId;
 use cfd_model::{Cfd, RuleMeasure};
@@ -199,24 +198,32 @@ pub fn remine(
     let (cover, measures) = {
         let _sp = cfd_obs::span!("remine.mine");
         let proj_index = RelationIndex::new(&proj);
-        let mut search = SearchStats::default();
-        if fd_only {
-            let mut store: PartitionStore<AttrSet> = PartitionStore::new(usize::MAX);
-            seed_fd_store(engine, &nb, nb_set, &dense_of, &mut store);
-            Tane::new()
-                .with_shared_knobs(opts.max_lhs, opts.theta, opts.threads)
-                .run_measured_seeded(&proj, &proj_index, &mut store, ctrl, &mut search)?
+        let dopts = DiscoverOptions {
+            max_lhs: opts.max_lhs,
+            threads: opts.threads.max(1),
+            min_confidence: opts.theta,
+            ..DiscoverOptions::new(opts.k)
+        };
+        let mut fd_store = PartitionStore::new(usize::MAX);
+        let mut store = PartitionStore::new(usize::MAX);
+        let mut ctx = RunContext {
+            index: Some(&proj_index),
+            ..RunContext::new(&dopts, ctrl)
+        };
+        let algo = if fd_only {
+            seed_fd_store(engine, &nb, nb_set, &dense_of, &mut fd_store);
+            ctx.fd_store = Some(&mut fd_store);
+            Algo::Tane
         } else {
-            let mut store: PartitionStore<Pattern> = PartitionStore::new(usize::MAX);
             seed_pattern_store(engine, &nb, nb_set, &dense_of, &mut store);
-            let mut miner = Ctane::new(opts.k)
-                .min_confidence(opts.theta)
-                .threads(opts.threads);
-            if let Some(m) = opts.max_lhs {
-                miner = miner.max_lhs(m);
-            }
-            miner.run_measured_seeded(&proj, &proj_index, &mut store, ctrl, &mut search)?
-        }
+            ctx.store = Some(&mut store);
+            Algo::Ctane
+        };
+        let d = algo.execute(&proj, ctx).map_err(|e| match e {
+            DiscoverError::Cancelled => Cancelled,
+            e => panic!("invalid re-mining options: {e}"),
+        })?;
+        (d.cover, d.measures)
     };
 
     // map the mined cover back to engine attribute ids (codes are

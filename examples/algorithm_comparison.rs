@@ -3,7 +3,7 @@
 //!
 //! Iterates the whole [`Algo`] registry (minus the brute-force oracle,
 //! which refuses non-toy instances) over the same synthetic tax
-//! relation through the unified `Discoverer` API, reports wall-clock
+//! relation through the unified `Algo` entry point, reports wall-clock
 //! times, search counters and cover sizes, and verifies that every
 //! general algorithm returns the identical canonical cover.
 //!

@@ -1,7 +1,7 @@
 //! Quickstart: discover the CFDs of the paper's running example.
 //!
 //! Builds the `cust` relation of Fig. 1, runs discovery through the
-//! unified `Discoverer` API, and prints the canonical cover in the
+//! unified `Algo` entry point, and prints the canonical cover in the
 //! stable wire-format.
 //!
 //! ```sh

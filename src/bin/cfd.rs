@@ -16,8 +16,8 @@
 //! cfd algos
 //! ```
 //!
-//! Every algorithm runs through the unified `Discoverer` API
-//! (`cfd_core::api`): `--algo` names resolve via the `Algo` registry
+//! Every algorithm runs through the one entry point of `cfd_core::api`,
+//! `Algo::execute`: `--algo` names resolve via the `Algo` registry
 //! (`cfd algos` lists them), options an algorithm ignores surface as
 //! structured notes (stderr warnings in text mode, a `notes` array in
 //! JSON), and `--format json` emits the full machine-readable

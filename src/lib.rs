@@ -12,9 +12,10 @@
 //!   registry behind `cfd … --trace` / `--metrics-out`, with JSON
 //!   export through `model::json`;
 //! * [`core`] — the discovery algorithms (CFDMiner, CTANE,
-//!   FastCFD/NaiveFast) and the unified [`core::api`] they all
-//!   implement: the `Discoverer` trait, `DiscoverOptions`, structured
-//!   `Discovery` outcomes, and the `Algo` registry;
+//!   FastCFD/NaiveFast) and the unified [`core::api`] in front of all
+//!   seven: the `Algo` registry whose `execute` is the one entry point
+//!   into discovery, `DiscoverOptions`, the `RunContext` a run
+//!   borrows, and structured `Discovery` outcomes;
 //! * [`fd`] — the classical FD baselines TANE and FastFD;
 //! * [`datagen`] — synthetic datasets used by the paper's evaluation;
 //! * [`validate`] — the shared validation kernel: compile a cover once,
@@ -41,7 +42,7 @@
 //! // constant CFDs only, orders of magnitude faster
 //! let constants = CfdMiner::new(2).discover(&rel);
 //! assert_eq!(constants.cfds(), cover.constant_cover().cfds());
-//! // every algorithm also runs through the unified Discoverer API,
+//! // every algorithm also runs through the unified Algo entry point,
 //! // returning a structured outcome (timings, counters, notes):
 //! let d = Algo::Ctane
 //!     .discover_with(&rel, &DiscoverOptions::new(2), &Control::default())
@@ -64,8 +65,8 @@ pub use cfd_validate as validate;
 /// The items most programs need.
 pub mod prelude {
     pub use cfd_core::api::{
-        Algo, Cancelled, Control, DiscoverError, DiscoverOptions, Discoverer, Discovery, Note,
-        Progress, SearchStats, UnknownAlgo,
+        Algo, Cancelled, Control, DiscoverError, DiscoverOptions, Discovery, Note, Progress,
+        RunContext, SearchStats, UnknownAlgo,
     };
     pub use cfd_core::{BruteForce, CfdMiner, Ctane, DiffSetMode, FastCfd};
     pub use cfd_fd::{FastFd, Tane};
