@@ -17,7 +17,7 @@
 
 use cfd_core::FastCfd;
 use cfd_datagen::tax::TaxGenerator;
-use cfd_model::violation::violations;
+use cfd_model::oracle::violations;
 use cfd_model::{Cfd, Relation};
 use cfd_validate::{validate, ValidateOptions};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};

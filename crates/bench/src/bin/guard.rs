@@ -16,13 +16,17 @@
 //! kernel (54 ms → 2.5 s, see DESIGN.md §10) — moves a ratio by an
 //! order of magnitude, which is exactly where the alarm is set.
 //!
-//! Six workloads pin the serving paths that have regressed or nearly
+//! Seven workloads pin the serving paths that have regressed or nearly
 //! regressed before:
 //!
 //! * `validate_kernel` — the `cfd check` path: a 20k-row tax instance
 //!   validated against a ~60-rule discovered cover, single-threaded.
 //! * `ctane_levelwise` — the discovery path: exact CTANE over a
 //!   1000-row tax instance through the partition-store engine.
+//! * `tane_levelwise` — the FD path at size: TANE over 100k tax rows in
+//!   generator order, whose superkey checks once rescanned the relation
+//!   per immediate subset (indicatively ~1.8 s instead of ~0.15 s on a
+//!   2-vCPU machine, from a few runs; DESIGN.md §9).
 //! * `stream_batch` — the `cfd watch` path: steady-state insert+delete
 //!   batches through a warm `StreamEngine`.
 //! * `remine_drift` — the `cfd watch --remine` path: a drift batch
@@ -118,6 +122,14 @@ fn run_ctane(rel: &Relation) -> u64 {
     let d = Algo::Ctane
         .discover_with(rel, &opts, &Control::default())
         .expect("ctane discovers");
+    d.cover.len() as u64
+}
+
+fn run_tane(rel: &Relation) -> u64 {
+    let opts = DiscoverOptions::new(2).threads(1);
+    let d = Algo::Tane
+        .discover_with(rel, &opts, &Control::default())
+        .expect("tane discovers");
     d.cover.len() as u64
 }
 
@@ -304,7 +316,7 @@ struct Measured {
     ratio: f64,
 }
 
-/// Times the calibration loop and all four workloads; ratios are
+/// Times the calibration loop and every workload; ratios are
 /// relative to this run's own calibration.
 fn measure() -> (f64, Vec<Measured>) {
     let calib_ms = best_of_ms(3, calibration);
@@ -323,6 +335,14 @@ fn measure() -> (f64, Vec<Measured>) {
     let ms = best_of_ms(3, || run_ctane(&rel));
     out.push(Measured {
         name: "ctane_levelwise",
+        ms,
+        ratio: ms / calib_ms,
+    });
+
+    let rel = TaxGenerator::new(100_000).seed(2).generate();
+    let ms = best_of_ms(3, || run_tane(&rel));
+    out.push(Measured {
+        name: "tane_levelwise",
         ms,
         ratio: ms / calib_ms,
     });

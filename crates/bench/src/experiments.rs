@@ -537,9 +537,10 @@ fn sampling(scale: Scale) -> Vec<(String, Table)> {
         let t1 = Instant::now();
         let cover = FastCfd::new(k).discover(&s);
         let secs = t1.elapsed().as_secs_f64();
-        let good = cover
+        let good = cfd_validate::validate(&rel, cover.iter(), &Default::default())
+            .rules
             .iter()
-            .filter(|c| cfd_model::satisfy::satisfies(&rel, c))
+            .filter(|r| r.satisfied())
             .count();
         let _ = &full_cover;
         t.push_row(

@@ -1186,7 +1186,7 @@ mod tests {
             assert_eq!(d.measures.len(), d.cover.len(), "{algo}");
             // exact discovery: every rule holds, so every measure is clean
             for (cfd, m) in d.cover.iter().zip(&d.measures) {
-                assert_eq!(*m, cfd_model::measure::measure(&rel, cfd), "{algo}");
+                assert_eq!(*m, cfd_model::oracle::measure(&rel, cfd), "{algo}");
                 assert_eq!(m.violations, 0, "{algo}: {}", cfd.display(&rel));
                 assert!(m.support >= 2, "{algo}: k-frequency");
             }

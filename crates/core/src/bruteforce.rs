@@ -148,8 +148,8 @@ mod tests {
     use super::*;
     use cfd_datagen::cust::cust_relation;
     use cfd_model::cfd::parse_cfd;
-    use cfd_model::satisfy::satisfies;
-    use cfd_model::support::support;
+    use cfd_model::oracle::satisfies;
+    use cfd_model::oracle::support;
 
     #[test]
     fn finds_paper_rules_on_cust() {

@@ -334,7 +334,7 @@ mod tests {
 
     #[test]
     fn approximate_discovery_admits_noisy_constant_rules() {
-        use cfd_model::measure::measure;
+        use cfd_model::oracle::measure;
         let r = cust_relation();
         // (AC → CT, (131 ‖ EDI)): 2 of the 3 AC=131 tuples agree (t8 is
         // the dissenter) — invisible exactly, found at θ = 0.6
@@ -362,7 +362,7 @@ mod tests {
 
     #[test]
     fn approximate_minimality_suppresses_specializations() {
-        use cfd_model::measure::measure;
+        use cfd_model::oracle::measure;
         // B=1 predicts C=p at 3/4; the specialization (A=x, B=1) → C=p
         // also reaches 3/4 on its own rows but is implied by the more
         // general rule and must not be emitted

@@ -962,7 +962,7 @@ mod tests {
 
     #[test]
     fn approximate_discovery_admits_noisy_rules() {
-        use cfd_model::measure::measure;
+        use cfd_model::oracle::measure;
         let r = cust_relation();
         // (AC → CT, (131 ‖ EDI)) is violated by t8 (AC=131, CT=UN):
         // confidence 2/3 — invisible to exact discovery, found at θ=0.6
@@ -1065,7 +1065,7 @@ mod engine_tests {
 
     #[test]
     fn emission_measures_match_the_reference() {
-        use cfd_model::measure::measure;
+        use cfd_model::oracle::measure;
         let r = cust_relation();
         for theta in [0.6, 1.0] {
             let (cover, measures) = Ctane::new(2)
@@ -1106,7 +1106,7 @@ mod completeness_probe {
         rows.push(vec!["y", "q"]);
         let r = relation_from_rows(schema, &rows).unwrap();
         let fd = parse_cfd(&r, "(A -> B, (_ || _))").unwrap();
-        assert!(cfd_model::measure::measure(&r, &fd).meets(0.9), "premise");
+        assert!(cfd_model::oracle::measure(&r, &fd).meets(0.9), "premise");
         let cover = Ctane::new(1).min_confidence(0.9).discover(&r);
         assert!(
             cover.contains(&fd),

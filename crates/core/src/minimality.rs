@@ -13,10 +13,10 @@
 //! the test suites to audit every algorithm's output.
 
 use cfd_model::cfd::{Cfd, CfdClass};
+use cfd_model::oracle::satisfies;
+use cfd_model::oracle::support;
 use cfd_model::pattern::PVal;
 use cfd_model::relation::Relation;
-use cfd_model::satisfy::satisfies;
-use cfd_model::support::support;
 
 /// True iff `cfd` holds on `rel` and is `k`-frequent.
 pub fn holds_and_frequent(rel: &Relation, cfd: &Cfd, k: usize) -> bool {

@@ -134,7 +134,7 @@ mod tests {
     use super::*;
     use cfd_model::attrset::AttrSet;
     use cfd_model::cfd::Cfd;
-    use cfd_model::satisfy::satisfies;
+    use cfd_model::oracle::satisfies;
 
     #[test]
     fn shape_matches_uci() {

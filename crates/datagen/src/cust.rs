@@ -46,7 +46,7 @@ pub fn dirty_cust_relation() -> Relation {
 mod tests {
     use super::*;
     use cfd_model::cfd::parse_cfd;
-    use cfd_model::satisfy::satisfies;
+    use cfd_model::oracle::satisfies;
 
     #[test]
     fn shape() {

@@ -98,7 +98,7 @@ mod tests {
     #[test]
     fn sampling_preserves_satisfaction() {
         use cfd_core::FastCfd;
-        use cfd_model::satisfy::satisfies;
+        use cfd_model::oracle::satisfies;
         let r = TaxGenerator::new(600).generate();
         let cover = FastCfd::new(6).discover(&r);
         let s = sample_rows(&r, 0.4, 3);
@@ -110,7 +110,7 @@ mod tests {
     #[test]
     fn sample_discovery_precision_is_reasonable() {
         use cfd_core::FastCfd;
-        use cfd_model::satisfy::satisfies;
+        use cfd_model::oracle::satisfies;
         let r = TaxGenerator::new(1500).generate();
         let s = stratified_sample(&r, 0, 0.3, 9);
         let k_sample = 3;

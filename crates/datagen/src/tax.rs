@@ -304,8 +304,8 @@ mod tests {
     use super::*;
     use cfd_model::attrset::AttrSet;
     use cfd_model::cfd::Cfd;
+    use cfd_model::oracle::satisfies;
     use cfd_model::pattern::{PVal, Pattern};
-    use cfd_model::satisfy::satisfies;
 
     #[test]
     fn deterministic_in_seed() {

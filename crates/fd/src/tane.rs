@@ -4,7 +4,11 @@
 //! The level-wise lattice walk CTANE generalizes: levels hold attribute
 //! sets with their partitions; `C⁺(X) = {A | ∀B ∈ X : X\{A,B} ↛ B}`
 //! prunes candidate RHS attributes; (super)key sets are retired early
-//! after emitting their remaining dependencies.
+//! after emitting their remaining dependencies. Those key-emits are
+//! checked for minimality from class counts the walk already holds —
+//! `Y → A` iff `|π(Y)| = |π(Y ∪ {A})|` for each immediate subset `Y` —
+//! falling back to `Y`'s keep count when a count is missing (DESIGN.md
+//! §9), so no check rescans the relation.
 //!
 //! Like CTANE, the walk runs on the stripped-partition engine of
 //! `cfd-partition` (DESIGN.md §9): node partitions live in a
@@ -277,7 +281,11 @@ impl Tane {
                 }
             }
 
-            // prune: empty C⁺, then key pruning
+            // prune: empty C⁺, then key pruning. The level's class
+            // counts answer the key check below and, once the walk
+            // advances, the next level's dependency test
+            let classes: FxHashMap<AttrSet, usize> =
+                level.iter().map(|nd| (nd.attrs, nd.n_classes)).collect();
             let keyed: Vec<bool> = level
                 .iter()
                 .map(|nd| nd.n_classes == n) // every class a singleton
@@ -293,19 +301,28 @@ impl Tane {
                 // minimal ones. TANE's C⁺-intersection test is incomplete
                 // here because referenced same-level sets may themselves
                 // have been key-pruned away (their C⁺ no longer exists), so
-                // minimality is checked directly against the relation.
+                // minimality is checked on each immediate subset Y = X\{B}:
+                // Y → A holds iff |π(Y)| = |π(Y ∪ {A})|. Y sits in the
+                // previous level (X was generated from it), Y ∪ {A} in
+                // this one unless pruning kept it from being generated;
+                // then — and under θ < 1.0, where unequal counts can still
+                // reach θ — Y's keep count decides (the error is monotone,
+                // so immediate subsets suffice — module docs)
                 for a in node.cplus.difference(node.attrs).iter() {
                     stats.candidates += 1;
-                    // under θ < 1.0 minimality means no immediate subset
-                    // reaches the threshold (the error is monotone, so
-                    // immediate subsets suffice — module docs)
                     let minimal = node.attrs.iter().all(|b| {
-                        let sub = Cfd::fd(node.attrs.without(b), a);
-                        if approx {
-                            !cfd_model::measure::measure(rel, &sub).meets(theta)
-                        } else {
-                            !cfd_model::satisfy::satisfies(rel, &sub)
-                        }
+                        let sub = node.attrs.without(b);
+                        let counts = prev_classes.get(&sub).zip(classes.get(&sub.with(a)));
+                        let holds = match counts {
+                            Some((p, c)) if p == c => true,
+                            Some(_) if !approx => false,
+                            _ => {
+                                let keep =
+                                    parent_keep(store, rel, col_index, sub, a, &mut scratch, stats);
+                                keep_meets(keep, n, theta)
+                            }
+                        };
+                        !holds
                     });
                     if minimal {
                         stats.emitted += 1;
@@ -400,10 +417,7 @@ impl Tane {
             } else {
                 store.retire_level(ell as u32);
             }
-            prev_classes = level_now
-                .into_iter()
-                .map(|nd| (nd.attrs, nd.n_classes))
-                .collect();
+            prev_classes = classes;
             level = next;
             ell += 1;
         }
@@ -530,7 +544,7 @@ mod tests {
     use super::*;
     use cfd_datagen::cust::cust_relation;
     use cfd_model::cfd::parse_cfd;
-    use cfd_model::satisfy::satisfies;
+    use cfd_model::oracle::satisfies;
 
     #[test]
     fn finds_paper_fds_on_cust() {
@@ -600,7 +614,7 @@ mod tests {
 
     #[test]
     fn approximate_discovery_admits_noisy_fds() {
-        use cfd_model::measure::measure;
+        use cfd_model::oracle::measure;
         let r = cust_relation();
         // AC → CT is spoiled only by the 131 → {EDI, EDI, UN} class:
         // keep 7 of 8 tuples, confidence 0.875
@@ -655,7 +669,7 @@ mod review_probe {
         rows.push(vec!["y", "q"]);
         let r = relation_from_rows(schema, &rows).unwrap();
         let fd = parse_cfd(&r, "(A -> B, (_ || _))").unwrap();
-        let m = cfd_model::measure::measure(&r, &fd);
+        let m = cfd_model::oracle::measure(&r, &fd);
         assert!(m.meets(0.9), "premise: A->B meets 0.9 ({m:?})");
         let cover = Tane::new().min_confidence(0.9).discover(&r);
         assert!(
@@ -692,7 +706,7 @@ mod engine_tests {
 
     #[test]
     fn emission_measures_match_the_reference() {
-        use cfd_model::measure::measure;
+        use cfd_model::oracle::measure;
         let r = cust_relation();
         for theta in [0.875, 1.0] {
             let (cover, measures) = Tane::new()
@@ -710,5 +724,106 @@ mod engine_tests {
                 assert_eq!(*m, measure(&r, cfd), "θ={theta}: {}", cfd.display(&r));
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod key_check_tests {
+    use super::*;
+    use crate::FastFd;
+    use cfd_datagen::random::{random_relations, RandomRelation};
+    use cfd_model::fxhash::FxHashSet;
+    use cfd_model::oracle::measure;
+    use cfd_model::relation::relation_from_rows;
+    use cfd_model::schema::Schema;
+
+    /// Key-heavy relations: whole lattice levels are superkeys, so most
+    /// FDs leave through the key check rather than the dependency test.
+    fn key_heavy() -> Vec<Relation> {
+        let mut rels = vec![
+            // z = x xor y: every pair is a key and no attribute
+            // determines another, so all three key-emits are decided
+            // from class counts alone
+            relation_from_rows(
+                Schema::new(["x", "y", "z"]).unwrap(),
+                &[
+                    vec!["a", "p", "0"],
+                    vec!["a", "q", "1"],
+                    vec!["b", "p", "1"],
+                    vec!["b", "q", "0"],
+                ],
+            )
+            .unwrap(),
+            // [x, y] is a key, but the unique id was key-pruned at level
+            // 1, so [x, id] and [y, id] were never generated: the check
+            // of [x, y] → id falls back to keep counts
+            relation_from_rows(
+                Schema::new(["id", "x", "y"]).unwrap(),
+                &[
+                    vec!["1", "a", "p"],
+                    vec!["2", "a", "q"],
+                    vec!["3", "b", "p"],
+                    vec!["4", "b", "q"],
+                ],
+            )
+            .unwrap(),
+        ];
+        rels.extend(random_relations(
+            12,
+            RandomRelation {
+                rows: 14,
+                arity: 5,
+                domain: 4,
+                seed: 7,
+            },
+        ));
+        rels
+    }
+
+    fn is_key(r: &Relation, x: AttrSet) -> bool {
+        let keys: FxHashSet<Vec<u32>> = r
+            .tuples()
+            .map(|t| x.iter().map(|a| r.code(t, a)).collect())
+            .collect();
+        keys.len() == r.n_rows()
+    }
+
+    #[test]
+    fn key_check_matches_fastfd_and_the_reference() {
+        let rels = key_heavy();
+        // the exact walk touches the store only to rebuild a partition
+        // for the fallback, so store traffic tells the branches apart
+        let traffic = |r: &Relation| {
+            let mut stats = SearchStats::default();
+            Tane::new()
+                .run(r, None, None, &Control::default(), &mut stats)
+                .unwrap();
+            stats.store.hits + stats.store.misses
+        };
+        assert_eq!(traffic(&rels[0]), 0, "class counts decide every key-emit");
+        assert!(traffic(&rels[1]) > 0, "the fallback rebuilds a partition");
+        let mut key_emits = 0;
+        for (i, r) in rels.iter().enumerate() {
+            for t in [1, 4] {
+                let exact = Tane::new().threads(t).discover(r);
+                let fastfd = FastFd::new().threads(t).discover(r);
+                assert_eq!(exact.cfds(), fastfd.cfds(), "relation {i}, {t} threads");
+                for theta in [0.75, 0.9] {
+                    let cover = Tane::new().min_confidence(theta).threads(t).discover(r);
+                    for c in cover.iter().filter(|c| is_key(r, c.lhs_attrs())) {
+                        key_emits += 1;
+                        for b in c.lhs_attrs().iter() {
+                            let sub = Cfd::fd(c.lhs_attrs().without(b), c.rhs_attr());
+                            assert!(
+                                !measure(r, &sub).meets(theta),
+                                "relation {i}, θ={theta}: {} is reducible",
+                                c.display(r)
+                            );
+                        }
+                    }
+                }
+            }
+        }
+        assert!(key_emits > 0, "no key-emitted FD was checked");
     }
 }

@@ -388,9 +388,9 @@ pub fn mine_free_closed(rel: &Relation, k: usize, opts: MineOptions) -> Mined {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cfd_model::oracle::pattern_support;
     use cfd_model::relation::relation_from_rows;
     use cfd_model::schema::Schema;
-    use cfd_model::support::pattern_support;
 
     fn cust() -> Relation {
         let schema = Schema::new(["CC", "AC", "PN", "NM", "STR", "CT", "ZIP"]).unwrap();

@@ -3,10 +3,10 @@
 
 use cfd_itemset::mine::{mine_free_closed, MineOptions};
 use cfd_itemset::ClosedSetIndex;
+use cfd_model::oracle::pattern_support;
 use cfd_model::pattern::{PVal, Pattern};
 use cfd_model::relation::{Relation, RelationBuilder};
 use cfd_model::schema::Schema;
-use cfd_model::support::pattern_support;
 use proptest::prelude::*;
 
 fn arb_relation() -> impl Strategy<Value = Relation> {

@@ -625,7 +625,7 @@ mod tests {
         let again = parse_cfd_interning(&mut r, "(AC -> CT, (555 || LA))").unwrap();
         assert_eq!(again, cfd);
         // and the rule matches nothing until such a tuple arrives
-        assert!(crate::satisfy::satisfies(&r, &cfd));
+        assert!(crate::oracle::satisfies(&r, &cfd));
         // syntax errors still surface
         assert!(parse_cfd_interning(&mut r, "nonsense").is_err());
         assert!(parse_cfd_interning(&mut r, "([CC] -> ZZ, (01 || MH))").is_err());

@@ -13,14 +13,13 @@
 //!   constants and the unnamed variable `_`, together with the match order
 //!   `⪯` of Section 2.1.2,
 //! * [`Cfd`] — a conditional functional dependency `(X → A, (tp ‖ pA))`,
-//! * satisfaction ([`satisfies`]), support ([`support()`](support())) and violation
-//!   detection ([`violations`]) primitives — the per-rule reference
-//!   implementations; cover-level validation lives in the shared
-//!   kernel crate `cfd-validate`,
-//! * [`mod@measure`] — the shared per-rule support/confidence stats type
+//! * [`measure`] — the shared per-rule support/confidence stats type
 //!   ([`RuleMeasure`]) behind approximate discovery, validation reports
 //!   and streaming counters, plus the `[support=N conf=F]` annotation
 //!   wire format,
+//! * [`violation`] — the [`Violation`] and repair records that cleaning
+//!   produces; satisfaction, violations, measures and repairs of a
+//!   cover are computed by the shared validation kernel `cfd-validate`,
 //! * [`cover`] — canonical-cover bookkeeping and the constant/variable
 //!   normal form of Lemma 1,
 //! * a small CSV reader/writer ([`csv`]) so relations can be loaded from
@@ -45,13 +44,12 @@ pub mod fxhash;
 pub mod ingest;
 pub mod json;
 pub mod measure;
+#[doc(hidden)]
+pub mod oracle;
 pub mod pattern;
 pub mod progress;
 pub mod relation;
-pub mod repair;
-pub mod satisfy;
 pub mod schema;
-pub mod support;
 pub mod tableau;
 pub mod violation;
 
@@ -62,13 +60,10 @@ pub use error::{Error, Result};
 pub use fxhash::{FxHashMap, FxHashSet};
 pub use ingest::{ingest_csv_path, ingest_csv_reader, IngestOptions};
 pub use json::Json;
-pub use measure::{measure, RuleMeasure};
+pub use measure::RuleMeasure;
 pub use pattern::{PVal, Pattern};
 pub use progress::{Cancelled, Control, PhaseTiming, Progress, SearchStats};
 pub use relation::{Relation, RelationBuilder};
-pub use repair::{apply_repairs, suggest_repairs, Repair};
-pub use satisfy::satisfies;
 pub use schema::{AttrId, Schema};
-pub use support::{pattern_support, support};
 pub use tableau::{group_into_tableaux, TableauCfd};
-pub use violation::{violations, Violation};
+pub use violation::Violation;

@@ -43,8 +43,6 @@
 
 use crate::cfd::Cfd;
 use crate::error::{Error, Result};
-use crate::fxhash::FxHashMap;
-use crate::pattern::PVal;
 use crate::relation::Relation;
 
 /// Measured support and violation count of one rule on one instance —
@@ -202,139 +200,9 @@ pub fn display_annotated(rel: &Relation, cfd: &Cfd, m: &RuleMeasure) -> String {
     format!("{} {}", cfd.display(rel), m.annotation())
 }
 
-/// Measures one rule against an instance — the per-rule reference
-/// implementation of the module's error measure (a full scan with
-/// heap-allocated group keys; `cfd-validate` computes the identical
-/// numbers for whole covers in one kernel pass).
-///
-/// ```
-/// use cfd_model::cfd::parse_cfd;
-/// use cfd_model::csv::relation_from_csv_str;
-/// use cfd_model::measure::measure;
-///
-/// let rel = relation_from_csv_str("AC,CT\n908,MH\n908,MH\n131,EDI\n131,UN\n").unwrap();
-/// let fd = parse_cfd(&rel, "(AC -> CT, (_ || _))").unwrap();
-/// let m = measure(&rel, &fd);
-/// assert_eq!((m.support, m.violations), (4, 1)); // drop one of EDI/UN
-/// assert_eq!(m.confidence(), 0.75);
-/// ```
-pub fn measure(rel: &Relation, cfd: &Cfd) -> RuleMeasure {
-    let lhs = cfd.lhs();
-    let rhs_attr = cfd.rhs_attr();
-    match cfd.rhs_val() {
-        PVal::Const(expect) => {
-            let mut support = 0usize;
-            let mut violations = 0usize;
-            for t in rel.tuples() {
-                if lhs.matches_row(rel, t) {
-                    support += 1;
-                    if rel.code(t, rhs_attr) != expect {
-                        violations += 1;
-                    }
-                }
-            }
-            RuleMeasure {
-                support,
-                violations,
-            }
-        }
-        PVal::Var => {
-            let wild: Vec<_> = lhs.wildcard_attrs().iter().collect();
-            let mut groups: FxHashMap<Vec<u32>, FxHashMap<u32, u32>> = FxHashMap::default();
-            let mut support = 0usize;
-            for t in rel.tuples() {
-                if !lhs.matches_row(rel, t) {
-                    continue;
-                }
-                support += 1;
-                let key: Vec<u32> = wild.iter().map(|&a| rel.code(t, a)).collect();
-                *groups
-                    .entry(key)
-                    .or_default()
-                    .entry(rel.code(t, rhs_attr))
-                    .or_insert(0) += 1;
-            }
-            let violations = groups
-                .values()
-                .map(|freq| {
-                    let total: u32 = freq.values().sum();
-                    let max = freq.values().copied().max().unwrap_or(0);
-                    (total - max) as usize
-                })
-                .sum();
-            RuleMeasure {
-                support,
-                violations,
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cfd::parse_cfd;
-    use crate::relation::relation_from_rows;
-    use crate::schema::Schema;
-    use crate::violation::violations;
-
-    fn cust() -> Relation {
-        let schema = Schema::new(["CC", "AC", "PN", "NM", "STR", "CT", "ZIP"]).unwrap();
-        relation_from_rows(
-            schema,
-            &[
-                vec!["01", "908", "1111111", "Mike", "Tree Ave.", "MH", "07974"],
-                vec!["01", "908", "1111111", "Rick", "Tree Ave.", "MH", "07974"],
-                vec!["01", "212", "2222222", "Joe", "5th Ave", "NYC", "01202"],
-                vec!["01", "908", "2222222", "Jim", "Elm Str.", "MH", "07974"],
-                vec!["44", "131", "3333333", "Ben", "High St.", "EDI", "EH4 1DT"],
-                vec!["44", "131", "2222222", "Ian", "High St.", "EDI", "EH4 1DT"],
-                vec!["44", "908", "2222222", "Ian", "Port PI", "MH", "W1B 1JH"],
-                vec!["01", "131", "2222222", "Sean", "3rd Str.", "UN", "01202"],
-            ],
-        )
-        .unwrap()
-    }
-
-    #[test]
-    fn constant_rhs_counts_dissenters() {
-        let r = cust();
-        // AC = 131 maps to EDI, EDI, UN: one dissenter among three
-        let c = parse_cfd(&r, "(AC -> CT, (131 || EDI))").unwrap();
-        let m = measure(&r, &c);
-        assert_eq!((m.support, m.violations), (3, 1));
-        assert!((m.confidence() - 2.0 / 3.0).abs() < 1e-12);
-        assert!(m.meets(0.6) && !m.meets(0.7));
-    }
-
-    #[test]
-    fn variable_rhs_counts_minimal_removals() {
-        let r = cust();
-        // AC → CT: 908 → MH (4 pure), 212 → NYC (1), 131 → {EDI×2, UN}
-        let fd = parse_cfd(&r, "(AC -> CT, (_ || _))").unwrap();
-        let m = measure(&r, &fd);
-        assert_eq!((m.support, m.violations), (8, 1));
-        assert_eq!(m.confidence(), 0.875);
-        // the minimal-removal count can undercut the reported violation
-        // *records* (pairs are anchored at the scan witness)
-        assert!(m.violations <= violations(&r, &fd).len());
-        // a satisfied rule measures exact
-        let f1 = parse_cfd(&r, "([CC, AC] -> CT, (_, _ || _))").unwrap();
-        assert_eq!(measure(&r, &f1), RuleMeasure::exact(8));
-    }
-
-    #[test]
-    fn majority_differs_from_witness() {
-        // group [b, a, a]: the scan witness carries the minority value,
-        // so witness-anchored pairs count 2 — but one removal suffices
-        let schema = Schema::new(["X", "Y"]).unwrap();
-        let r =
-            relation_from_rows(schema, &[vec!["g", "b"], vec!["g", "a"], vec!["g", "a"]]).unwrap();
-        let fd = parse_cfd(&r, "(X -> Y, (_ || _))").unwrap();
-        assert_eq!(violations(&r, &fd).len(), 2);
-        let m = measure(&r, &fd);
-        assert_eq!((m.support, m.violations), (3, 1));
-    }
 
     #[test]
     fn empty_support_is_fully_confident() {

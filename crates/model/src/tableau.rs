@@ -14,11 +14,10 @@
 use crate::cfd::Cfd;
 use crate::cover::CanonicalCover;
 use crate::fxhash::FxHashMap;
+use crate::oracle::{satisfies, support};
 use crate::pattern::{PVal, Pattern};
 use crate::relation::Relation;
-use crate::satisfy::satisfies;
 use crate::schema::AttrId;
-use crate::support::support;
 
 /// A tableau CFD `(X → A, Tp)`: one embedded FD with a pattern tableau.
 #[derive(Clone, PartialEq, Eq, Debug)]

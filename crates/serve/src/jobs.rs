@@ -343,7 +343,7 @@ pub fn run_spec(spec: &JobSpec, ctrl: &Control<'_>) -> JobOutcome {
             let cfds: Vec<&Cfd> = rules.iter().map(|(_, c)| c).collect();
             let before = cfd_validate::detect_violations(&ds.rel, cfds.iter().copied()).len();
             let edits = cfd_validate::suggest_repairs_for_cover(&ds.rel, cfds.iter().copied());
-            let fixed = cfd_model::apply_repairs(&ds.rel, &edits);
+            let fixed = cfd_validate::apply_repairs(&ds.rel, &edits);
             let after = cfd_validate::detect_violations(&fixed, cfds.iter().copied()).len();
             let edit_docs = Json::arr(edits.iter().map(|r| {
                 let dict = ds.rel.column(r.attr).dict();

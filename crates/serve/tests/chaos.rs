@@ -21,7 +21,7 @@
 //! faultpoint unit test lives in a different process).
 
 use cfd_model::Json;
-use cfd_serve::{faultpoint, FaultAction, ServeOptions, Server};
+use cfd_serve::{faultpoint, ServeOptions, Server};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::io::{BufRead, BufReader, Write};
@@ -256,10 +256,19 @@ fn chaos_rounds_preserve_service_invariants() {
     }
 
     // a deterministic torn inbound frame: the session disconnects
-    // without a phantom request or a reply
-    faultpoint::arm("read_line", None, FaultAction::ShortRead, 0, 1).expect("arm short_read");
+    // without a phantom request or a reply. The fault is armed through
+    // the connection's own inject op, scoped to its session, so no
+    // straggling connection from the rounds above can consume it
     {
         let mut w = Wire::connect(addr);
+        assert!(w.send(&req(
+            "inject",
+            &[
+                ("point", Json::from("read_line")),
+                ("action", Json::from("short_read")),
+            ],
+        )));
+        assert_ok(&w.reply().expect("inject short_read reply"));
         assert!(w.send(&req("ping", &[])));
         assert!(w.reply().is_none(), "torn frame must not get a reply");
     }

@@ -11,7 +11,7 @@
 //!   grouped by their codes on the LHS wildcard attributes. Within a
 //!   group the *witness* is the live tuple with the smallest row id (the
 //!   first tuple a full scan would meet, which is exactly the anchor
-//!   [`cfd_model::violation::violations`] reports); every member whose
+//!   the validation kernel reports); every member whose
 //!   RHS code differs from the witness's is a dissenter, reported as
 //!   [`Violation::Pair`] (witness, dissenter). State per group: an
 //!   ordered member map `row id → RHS code`, i.e. the ISSUE's

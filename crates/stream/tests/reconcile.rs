@@ -113,7 +113,7 @@ proptest! {
                 // the live measure equals the reference measure on the
                 // materialized instance — the cross-crate contract of
                 // cfd_model::RuleMeasure
-                let want = cfd_model::measure::measure(&mat, &engine.rules()[s.rule]);
+                let want = cfd_model::oracle::measure(&mat, &engine.rules()[s.rule]);
                 prop_assert_eq!(s.measure, want, "op {} rule {}", i, s.rule);
             }
         }

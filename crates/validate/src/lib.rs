@@ -5,11 +5,9 @@
 //! pass — the serving substrate behind `cfd check`, `cfd repair`, the
 //! examples, and the streaming engine's warm start.
 //!
-//! The per-rule primitives in [`cfd_model`] (`satisfies`, `violations`,
-//! `suggest_repairs`) re-scan the relation per rule with heap-allocated
-//! group keys: applying a realistic cover that way is
+//! Checking a rule by itself means re-scanning the relation with
+//! heap-allocated group keys: applying a realistic cover that way is
 //! `O(|Σ| · |r|)` with heavy constant factors. The kernel instead:
-//!
 //! 1. groups the cover's variable rules by their LHS wildcard attribute
 //!    set and runs **one** dense grouping pass per distinct set
 //!    ([`cfd_partition::GroupIds`], flat `u64` keys);
@@ -19,11 +17,12 @@
 //! 3. shards rules across worker threads and merges reports in rule
 //!    order, so the result is independent of the thread count.
 //!
-//! The report semantics are exactly the per-rule reference's: same
-//! witnesses, same violations in the same order, same support /
-//! confidence counters as the streaming engine — a contract the
-//! property tests in `tests/reconcile.rs` check on randomized covers
-//! and dirty instances.
+//! The report semantics are exactly the per-rule referee's
+//! (`cfd_model::oracle`, a scan per rule that shares no code with the
+//! kernel): same witnesses, same violations in the same order, same
+//! support / confidence counters as the streaming engine — a contract
+//! the property tests in `tests/reconcile.rs` check on randomized
+//! covers and dirty instances.
 //!
 //! ```
 //! use cfd_model::cfd::parse_cfd;
@@ -49,10 +48,11 @@ pub mod plan;
 pub mod repair;
 pub mod report;
 
+pub use cfd_model::violation::Repair;
 pub use plan::{
     measure_cover, validate, validate_indexed, validate_with, CoverPlan, ValidateOptions,
 };
-pub use repair::suggest_repairs_for_cover;
+pub use repair::{apply_repairs, suggest_repairs_for_cover};
 pub use report::{RuleReport, ValidationReport};
 
 use cfd_model::relation::Relation;
@@ -90,9 +90,8 @@ where
 mod tests {
     use super::*;
     use cfd_model::cfd::parse_cfd;
+    use cfd_model::oracle::{satisfies, violations};
     use cfd_model::relation::{relation_from_rows, Relation};
-    use cfd_model::satisfy::satisfies;
-    use cfd_model::violation::violations;
     use cfd_model::Schema;
 
     /// The instance r0 of Fig. 1 of the paper (the `cust` relation).
@@ -197,7 +196,7 @@ mod tests {
         assert_eq!(report.rules[0].violations, 3, "counters stay exact");
         assert_eq!(
             report.rules[0].sample,
-            cfd_model::violation::violations_limited(&r, &c, 2)
+            cfd_model::oracle::violations_limited(&r, &c, 2)
         );
     }
 
@@ -220,7 +219,7 @@ mod tests {
         for (i, cfd) in rules.iter().enumerate() {
             assert_eq!(
                 report.rules[i].measure,
-                cfd_model::measure::measure(&r, cfd),
+                cfd_model::oracle::measure(&r, cfd),
                 "rule {i}"
             );
         }
@@ -237,10 +236,7 @@ mod tests {
         let report = validate(&r, [&fd], &ValidateOptions::default());
         assert_eq!(report.rules[0].violations, 2);
         assert_eq!(report.rules[0].measure.violations, 1);
-        assert_eq!(
-            report.rules[0].measure,
-            cfd_model::measure::measure(&r, &fd)
-        );
+        assert_eq!(report.rules[0].measure, cfd_model::oracle::measure(&r, &fd));
     }
 
     #[test]
@@ -265,14 +261,14 @@ mod tests {
         let mut seen = cfd_model::FxHashSet::default();
         let mut want = Vec::new();
         for cfd in &rules {
-            for rep in cfd_model::repair::suggest_repairs(&r, cfd) {
+            for rep in cfd_model::oracle::suggest_repairs(&r, cfd) {
                 if seen.insert((rep.tuple, rep.attr)) {
                     want.push(rep);
                 }
             }
         }
         assert_eq!(kernel, want);
-        let fixed = cfd_model::repair::apply_repairs(&r, &kernel);
+        let fixed = apply_repairs(&r, &kernel);
         assert!(satisfies_cover(&fixed, &rules));
     }
 

@@ -1,27 +1,34 @@
-//! Cover-level repair suggestion on top of the kernel.
+//! Repair suggestions — closing the cleaning loop.
 //!
-//! Same repair policy as the per-rule reference
-//! ([`cfd_model::repair::suggest_repairs`]) — constant-RHS violations
-//! suggest the rule's constant, variable-rule groups suggest their
-//! majority value with ties broken toward the earliest tuple — but the
-//! group structure comes from the compiled plan's shared grouping
-//! passes instead of a per-rule re-scan with `Vec<u32>` keys, and only
-//! the *violating* groups are ever materialized.
+//! The paper motivates CFD discovery as the rule-acquisition step of
+//! CFD-based cleaning (its refs \[1\], \[2\] detect and repair with the
+//! rules). This module provides the minimal, deterministic repair
+//! heuristic on top of the kernel:
+//!
+//! * a violation of a **constant-RHS** rule pins the expected value —
+//!   suggest the rule's RHS constant;
+//! * a violation of a **variable** rule leaves a group of LHS-equal
+//!   tuples disagreeing on the RHS — suggest the group's majority value
+//!   (ties resolved toward the earliest tuple, keeping the suggestion
+//!   deterministic).
+//!
+//! The group structure comes from the compiled plan's shared grouping
+//! passes, and only the *violating* groups are ever materialized.
+//! Suggestions are advisory: applying them ([`apply_repairs`]) may
+//! surface further violations of other rules (full constraint repair
+//! is its own research area, e.g. ref \[27\] of the paper).
 
 use crate::plan::{scan_matching, CoverPlan};
 use cfd_model::fxhash::{FxHashMap, FxHashSet};
 use cfd_model::relation::{Relation, TupleId};
-use cfd_model::repair::Repair;
+use cfd_model::schema::AttrId;
+use cfd_model::violation::Repair;
 use cfd_model::Cfd;
 use cfd_partition::RelationIndex;
 
 /// Suggests repairs for a whole rule set, deduplicated per cell: when
 /// several rules implicate the same `(tuple, attribute)` cell, the
 /// first rule's suggestion wins (rule order = caller's priority order).
-///
-/// Produces exactly what folding the per-rule reference
-/// [`cfd_model::repair::suggest_repairs`] over the rules would, via the
-/// kernel's shared grouping instead of per-rule scans.
 pub fn suggest_repairs_for_cover<'a, I>(rel: &Relation, cfds: I) -> Vec<Repair>
 where
     I: IntoIterator<Item = &'a Cfd>,
@@ -41,7 +48,19 @@ where
     out
 }
 
-/// Repairs for one rule of the plan, in the reference order.
+/// Applies repairs, producing a new relation that shares the original's
+/// dictionaries (original untouched).
+pub fn apply_repairs(rel: &Relation, repairs: &[Repair]) -> Relation {
+    let edits: Vec<(TupleId, AttrId, u32)> = repairs
+        .iter()
+        .map(|r| (r.tuple, r.attr, r.suggested))
+        .collect();
+    rel.with_replaced_codes(&edits)
+}
+
+/// Repairs for one rule of the plan: a constant RHS's dissenters in
+/// tuple order, a variable RHS's mixed groups in ascending
+/// wildcard-key order.
 fn rule_repairs(
     rel: &Relation,
     index: &RelationIndex,
@@ -139,4 +158,55 @@ fn rule_repairs(
         }
     }
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use cfd_model::cfd::parse_cfd;
+    use cfd_model::oracle::{satisfies, suggest_repairs};
+    use cfd_model::relation::relation_from_rows;
+    use cfd_model::schema::Schema;
+
+    fn dirty() -> Relation {
+        let schema = Schema::new(["AC", "CT"]).unwrap();
+        relation_from_rows(
+            schema,
+            &[
+                vec!["908", "MH"],
+                vec!["908", "MH"],
+                vec!["908", "XX"], // corrupted
+                vec!["212", "NYC"],
+            ],
+        )
+        .unwrap()
+    }
+
+    #[test]
+    fn applying_repairs_restores_satisfaction() {
+        let r = dirty();
+        let rules = vec![
+            parse_cfd(&r, "(AC -> CT, (908 || MH))").unwrap(),
+            parse_cfd(&r, "(AC -> CT, (_ || _))").unwrap(),
+        ];
+        // cover-level repair = per-rule repairs, first rule wins per cell
+        let mut seen = FxHashSet::default();
+        let mut reps = Vec::new();
+        for rule in &rules {
+            for rep in suggest_repairs(&r, rule) {
+                if seen.insert((rep.tuple, rep.attr)) {
+                    reps.push(rep);
+                }
+            }
+        }
+        let fixed = apply_repairs(&r, &reps);
+        for rule in &rules {
+            let fixed_rule = parse_cfd(&fixed, &rule.display(&r)).unwrap();
+            assert!(satisfies(&fixed, &fixed_rule));
+        }
+        assert_eq!(fixed.value(2, 1), "MH");
+        // untouched cells survive
+        assert_eq!(fixed.value(3, 1), "NYC");
+        assert_eq!(fixed.value(0, 0), "908");
+    }
 }

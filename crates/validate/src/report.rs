@@ -8,9 +8,8 @@ use cfd_model::{Json, RuleMeasure, Violation};
 /// Two violation counts coexist, on purpose:
 ///
 /// * [`RuleReport::violations`] counts violation *records* — what
-///   [`cfd_model::violation::violations`] would return the length of
-///   (pairs anchored at the scan witness, singles for constant-RHS
-///   dissenters). This drives [`RuleReport::sample`] and
+///   a per-rule violation scan returns (pairs anchored at the scan
+///   witness, singles for constant-RHS dissenters). This drives [`RuleReport::sample`] and
 ///   [`crate::ValidationReport::detect`].
 /// * [`RuleReport::measure`] carries the rule's
 ///   [`RuleMeasure`]: the support plus the
@@ -28,7 +27,7 @@ pub struct RuleReport {
     pub violations: usize,
     /// The first violations in scan order, capped at the run's
     /// [`limit`](crate::ValidateOptions::limit). With an uncapped limit
-    /// this is exactly [`cfd_model::violation::violations`] on the rule.
+    /// this is every violation record of the rule, in tuple order.
     pub sample: Vec<Violation>,
     /// Support and minimal-removal count — the shared rule-level stats
     /// type behind [`RuleReport::confidence`].

@@ -5,10 +5,8 @@
 //! order, same counters — and does so identically at any thread count.
 
 use cfd_core::FastCfd;
+use cfd_model::oracle::{satisfies, suggest_repairs, violations, violations_limited};
 use cfd_model::relation::{Relation, RelationBuilder};
-use cfd_model::repair::suggest_repairs;
-use cfd_model::satisfy::satisfies;
-use cfd_model::violation::{violations, violations_limited};
 use cfd_model::{Cfd, FxHashSet, Schema};
 use cfd_validate::{suggest_repairs_for_cover, validate, ValidateOptions, ValidationReport};
 use proptest::prelude::*;
@@ -67,7 +65,7 @@ fn check_against_reference(rel: &Relation, rules: &[Cfd], report: &ValidationRep
         // the kernel's measure equals the per-rule reference measure
         assert_eq!(
             got.measure,
-            cfd_model::measure::measure(rel, cfd),
+            cfd_model::oracle::measure(rel, cfd),
             "rule {i} measure"
         );
     }

@@ -80,7 +80,7 @@ fn main() {
 
     // suggest and apply repairs, then re-check (cover-level repair and
     // detection both run through the shared validation kernel)
-    use cfd_suite::model::repair::apply_repairs;
+    use cfd_suite::validate::apply_repairs;
     let repairs = suggest_repairs_for_cover(&dirty, rules.cfds());
     let fixed = apply_repairs(&dirty, &repairs);
     let correct = repairs

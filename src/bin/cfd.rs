@@ -467,7 +467,7 @@ fn repair(a: &Args) -> Result<ExitCode> {
         .into_iter()
         .map(|(_, cfd)| cfd)
         .collect();
-    use cfd_suite::model::repair::apply_repairs;
+    use cfd_suite::validate::apply_repairs;
     let before = detect_violations(&rel, &rules).len();
     let repairs = suggest_repairs_for_cover(&rel, &rules);
     let fixed = apply_repairs(&rel, &repairs);

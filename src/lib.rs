@@ -5,7 +5,8 @@
 //!
 //! This façade crate re-exports the workspace:
 //!
-//! * [`model`] — relations, pattern tuples, CFDs, satisfaction/support/violations;
+//! * [`model`] — relations, pattern tuples, CFDs, rule measures and the
+//!   violation/repair records;
 //! * [`partition`] — partitions w.r.t. attribute-set/pattern pairs (Section 4.4);
 //! * [`itemset`] — free and closed item-set mining (Section 3.1);
 //! * [`obs`] — structured observability: span tracing and the metrics
@@ -20,7 +21,8 @@
 //! * [`datagen`] — synthetic datasets used by the paper's evaluation;
 //! * [`validate`] — the shared validation kernel: compile a cover once,
 //!   validate whole relations in one (parallel) pass (`cfd check`,
-//!   `cfd repair`);
+//!   `cfd repair`), the one production implementation of rule
+//!   semantics;
 //! * [`stream`] — the incremental violation-detection engine for
 //!   streaming tuple batches (`cfd watch`), warm-started through the
 //!   kernel;
@@ -38,7 +40,7 @@
 //! let rel = cfd_suite::datagen::cust::cust_relation();
 //! // canonical cover of minimal, 2-frequent CFDs
 //! let cover = FastCfd::new(2).discover(&rel);
-//! assert!(cover.iter().all(|c| satisfies(&rel, c)));
+//! assert!(satisfies_cover(&rel, cover.iter()));
 //! // constant CFDs only, orders of magnitude faster
 //! let constants = CfdMiner::new(2).discover(&rel);
 //! assert_eq!(constants.cfds(), cover.constant_cover().cfds());
@@ -72,11 +74,9 @@ pub mod prelude {
     pub use cfd_fd::{FastFd, Tane};
     pub use cfd_model::cfd::parse_cfd;
     pub use cfd_model::csv::{relation_from_csv_path, relation_from_csv_str};
-    pub use cfd_model::violation::Violation;
     pub use cfd_model::{
-        measure, normalize_cfd, satisfies, support, violations, AttrSet, CanonicalCover, Cfd,
-        CfdClass, Error, Json, PVal, Pattern, Relation, RelationBuilder, Result, RuleMeasure,
-        Schema,
+        normalize_cfd, AttrSet, CanonicalCover, Cfd, CfdClass, Error, Json, PVal, Pattern,
+        Relation, RelationBuilder, Result, RuleMeasure, Schema, Violation,
     };
     pub use cfd_serve::{ServeOptions, Server};
     pub use cfd_stream::{remine, BatchDelta, CoverDelta, RemineOptions, RuleStats, StreamEngine};

@@ -9,6 +9,7 @@ use cfd_suite::datagen::tax::TaxGenerator;
 use cfd_suite::datagen::wbc::{wbc_relation, WBC_ARITY, WBC_ROWS};
 use cfd_suite::fd::Tane;
 use cfd_suite::model::csv::{relation_from_csv_str, relation_to_csv_string};
+use cfd_suite::model::oracle::satisfies;
 use cfd_suite::prelude::*;
 
 #[test]
@@ -136,7 +137,7 @@ fn wbc_discovery_is_consistent() {
 
 #[test]
 fn repair_suggestions_reduce_violations() {
-    use cfd_suite::model::repair::apply_repairs;
+    use cfd_suite::validate::apply_repairs;
     let clean = TaxGenerator::new(800).generate();
     let rules = FastCfd::new(8).discover(&clean);
     let (dirty, cells) = inject_noise(&clean, 0.005, 17);

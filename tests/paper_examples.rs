@@ -2,6 +2,7 @@
 //! examples (Examples 1–9, Figures 1–4), through the public API.
 
 use cfd_suite::datagen::cust::cust_relation;
+use cfd_suite::model::oracle::{satisfies, support, violations};
 use cfd_suite::prelude::*;
 
 fn cfd(rel: &Relation, txt: &str) -> Cfd {

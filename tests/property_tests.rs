@@ -3,6 +3,7 @@
 //! against the brute-force oracle, and pairwise agreement.
 
 use cfd_suite::core::{audit_cover, is_minimal};
+use cfd_suite::model::oracle::{satisfies, support, violations};
 use cfd_suite::prelude::*;
 use proptest::prelude::*;
 
@@ -157,7 +158,7 @@ proptest! {
             let d = algo.discover_with(&rel, &opts, &ctrl).unwrap();
             prop_assert_eq!(d.measures.len(), d.cover.len());
             for (cfd, m) in d.cover.iter().zip(&d.measures) {
-                let reference = cfd_suite::model::measure::measure(&rel, cfd);
+                let reference = cfd_suite::model::oracle::measure(&rel, cfd);
                 prop_assert_eq!(*m, reference, "{}: {}", algo, cfd.display(&rel));
                 prop_assert!(
                     m.confidence() + 1e-9 >= theta,
@@ -275,7 +276,7 @@ mod engine_parity {
                     for (cfd, m) in d.cover.iter().zip(&d.measures) {
                         prop_assert_eq!(
                             *m,
-                            cfd_suite::model::measure::measure(&rel, cfd),
+                            cfd_suite::model::oracle::measure(&rel, cfd),
                             "{} θ={}: {}", algo, theta, cfd.display(&rel)
                         );
                     }
