@@ -519,7 +519,6 @@ fn sampling(scale: Scale) -> Vec<(String, Table)> {
     let dbsize = if scale.full { 100_000 } else { 10_000 };
     let rel = tax(dbsize, 9, 0.7);
     let k_full = k_of(dbsize);
-    let full_cover = FastCfd::new(k_full).discover(&rel);
     let cc = 0; // stratify on the country-code-like attribute
     let mut t = Table::new(
         &format!(
@@ -542,7 +541,6 @@ fn sampling(scale: Scale) -> Vec<(String, Table)> {
             .iter()
             .filter(|r| r.satisfied())
             .count();
-        let _ = &full_cover;
         t.push_row(
             format!("{fraction:.2}"),
             vec![

@@ -733,7 +733,7 @@ impl Algo {
         let index = ctx.index;
         let mut stats = SearchStats::default();
         let (mut cover, mut self_measures) = {
-            let _sp = cfd_obs::span!("discover.run");
+            let _sp = ctrl.span("discover.run");
             algo.search(work, ctx, &mut stats)?
         };
         if opts.constants_only && !algo.constants_native() {
@@ -766,7 +766,7 @@ impl Algo {
             Some(ms) => ms,
             None if cover.is_empty() => Vec::new(),
             None => {
-                let _sp = cfd_obs::span!("discover.measure");
+                let _sp = ctrl.span("discover.measure");
                 let vopts = cfd_validate::ValidateOptions {
                     threads: opts.threads,
                     limit: 0,

@@ -460,7 +460,7 @@ impl Ctane {
         loop {
             ctrl.check()?;
             ctrl.report("level", ell, arity);
-            let _sp = cfd_obs::span!("ctane.level");
+            let _sp = ctrl.span("ctane.level");
             // process most-general patterns first (the paper's level order):
             // within an attribute set, fewer constants ⇒ earlier
             level.sort_unstable_by(|a, b| {
@@ -647,6 +647,7 @@ impl Ctane {
                 store: &*store,
                 ell,
                 last_level,
+                ctrl: *ctrl,
             };
             // worker w owns runs w, w+T, …; batches merge in run
             // order, so the level comes out byte-identical to the
@@ -724,6 +725,8 @@ struct ExpandCtx<'a> {
     store: &'a PartitionStore<Pattern>,
     ell: usize,
     last_level: bool,
+    /// The run's handle, for the per-candidate `partition.refine*` spans.
+    ctrl: Control<'a>,
 }
 
 impl ExpandCtx<'_> {
@@ -791,13 +794,16 @@ impl ExpandCtx<'_> {
                 if self.last_level {
                     // counts suffice: this element's partition would
                     // never be refined or error-counted again
-                    let (n_classes, n_rows) = base_part.refine_counts(
-                        self.rel,
-                        Some(self.col_index),
-                        extra_attr,
-                        extra_val,
-                        scratch,
-                    );
+                    let (n_classes, n_rows) = {
+                        let _sp = self.ctrl.span("partition.refine_counts");
+                        base_part.refine_counts(
+                            self.rel,
+                            Some(self.col_index),
+                            extra_attr,
+                            extra_val,
+                            scratch,
+                        )
+                    };
                     if n_rows < self.alg.k {
                         stats.pruned += 1;
                         continue;
@@ -812,14 +818,17 @@ impl ExpandCtx<'_> {
                         partition: None,
                     });
                 } else {
-                    base_part.refine_into(
-                        self.rel,
-                        Some(self.col_index),
-                        extra_attr,
-                        extra_val,
-                        scratch,
-                        &mut buf,
-                    );
+                    {
+                        let _sp = self.ctrl.span("partition.refine");
+                        base_part.refine_into(
+                            self.rel,
+                            Some(self.col_index),
+                            extra_attr,
+                            extra_val,
+                            scratch,
+                            &mut buf,
+                        );
+                    }
                     stats.partitions += 1;
                     if buf.n_rows() < self.alg.k {
                         stats.pruned += 1;

@@ -233,7 +233,7 @@ impl Tane {
         loop {
             ctrl.check()?;
             ctrl.report("level", ell, arity);
-            let _sp = cfd_obs::span!("tane.level");
+            let _sp = ctrl.span("tane.level");
             // compute dependencies
             #[allow(clippy::needless_range_loop)] // cplus is mutated in place
             for i in 0..level.len() {
@@ -386,6 +386,7 @@ impl Tane {
                 order: &order,
                 store: &*store,
                 last_level,
+                ctrl: *ctrl,
             };
             // worker w owns runs w, w+T, …; batches merge in run
             // order, so the level comes out byte-identical to the
@@ -447,6 +448,8 @@ struct ExpandCtx<'a> {
     order: &'a [usize],
     store: &'a PartitionStore<AttrSet>,
     last_level: bool,
+    /// The run's handle, for the per-candidate `partition.refine*` spans.
+    ctrl: Control<'a>,
 }
 
 impl ExpandCtx<'_> {
@@ -490,8 +493,10 @@ impl ExpandCtx<'_> {
                     .peek(&base.attrs)
                     .expect("current level is pinned in the store");
                 if self.last_level {
-                    let (n_classes, _) =
-                        base_part.refine_counts(self.rel, None, extra_attr, PVal::Var, scratch);
+                    let (n_classes, _) = {
+                        let _sp = self.ctrl.span("partition.refine_counts");
+                        base_part.refine_counts(self.rel, None, extra_attr, PVal::Var, scratch)
+                    };
                     emit(Generated {
                         node: Node {
                             attrs: z,
@@ -501,7 +506,17 @@ impl ExpandCtx<'_> {
                         partition: None,
                     });
                 } else {
-                    base_part.refine_into(self.rel, None, extra_attr, PVal::Var, scratch, &mut buf);
+                    {
+                        let _sp = self.ctrl.span("partition.refine");
+                        base_part.refine_into(
+                            self.rel,
+                            None,
+                            extra_attr,
+                            PVal::Var,
+                            scratch,
+                            &mut buf,
+                        );
+                    }
                     stats.partitions += 1;
                     emit(Generated {
                         node: Node {

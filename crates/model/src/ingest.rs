@@ -24,8 +24,8 @@
 //!    downstream grouping.
 //!
 //! Observability flows through the [`Control`] handle: `ingest.read` /
-//! `ingest.parse` / `ingest.encode` / `ingest.merge` spans (forwarded
-//! to `cfd-obs` when tracing is on), `ingest.rows` and
+//! `ingest.parse` / `ingest.encode` / `ingest.merge` spans (kept when
+//! the attached sink has spans on), `ingest.rows` and
 //! `ingest.chunk_bytes` counters, and the `ingest.relation_bytes` /
 //! `ingest.max_block_bytes` gauges (the RSS proxies). See DESIGN.md
 //! §11.

@@ -36,18 +36,16 @@ pub trait MetricsSink: Send + Sync {
     /// Records `value` into the histogram `name`.
     fn observe(&self, name: &'static str, value: u64);
 
-    /// True iff spans forwarded through [`MetricsSink::record_span`]
-    /// are kept. Layers below `cfd-obs` in the crate graph (the
-    /// ingestion pipeline lives in this crate and cannot call the
-    /// `cfd_obs::span!` macro) gate their clock reads on this, so an
+    /// True iff spans closed through [`MetricsSink::record_span`] are
+    /// kept. [`Control::span`] gates its clock read on this, so an
     /// untraced run never reads the clock. Defaults to `false`.
     fn spans_enabled(&self) -> bool {
         false
     }
 
     /// Records a completed span (`start` + `dur` measured by the
-    /// caller). The `cfd-obs` registry forwards these into the same
-    /// ring buffers as `span!` guards; the default drops them.
+    /// caller). The `cfd-obs` registry folds it into its per-name
+    /// summary; the default drops it.
     fn record_span(&self, _name: &'static str, _start: Instant, _dur: Duration) {}
 }
 
@@ -209,10 +207,10 @@ impl<'a> Control<'a> {
     }
 
     /// Opens a named span that records itself into the metrics sink
-    /// when dropped — the span hook for layers below `cfd-obs` in the
-    /// crate graph (e.g. the ingestion pipeline in this crate). When no
-    /// sink is attached, or the sink reports spans disabled, this costs
-    /// one virtual call and no clock read.
+    /// when dropped — the one way every layer times a phase (names in
+    /// DESIGN.md §10). When no sink is attached, or the sink reports
+    /// spans disabled, this costs at most one virtual call: no clock
+    /// read, no allocation.
     pub fn span(&self, name: &'static str) -> ControlSpan<'a> {
         let sink = self.metrics.filter(|m| m.spans_enabled());
         ControlSpan {
@@ -462,6 +460,23 @@ mod tests {
         assert_eq!(seen.len(), 2);
         assert_eq!(seen[0].phase, "level");
         assert_eq!(seen[1].done, 2);
+    }
+
+    #[test]
+    fn disabled_spans_read_no_clock() {
+        struct Off;
+        impl MetricsSink for Off {
+            fn add(&self, _: &'static str, _: u64) {}
+            fn set_gauge(&self, _: &'static str, _: u64) {}
+            fn observe(&self, _: &'static str, _: u64) {}
+            fn record_span(&self, name: &'static str, _: Instant, _: Duration) {
+                panic!("disabled span {name} recorded");
+            }
+        }
+        assert!(Control::default().span("no.sink").start.is_none());
+        let off = Off;
+        let ctrl = Control::default().metrics_with(&off);
+        assert!(ctrl.span("spans.off").start.is_none());
     }
 
     #[test]

@@ -7,26 +7,23 @@
 //! store, streaming engine, the six discovery algorithms) emits into,
 //! cheap enough to stay compiled in.
 //!
-//! Three pieces:
+//! Two pieces:
 //!
-//! * **Span tracing** ([`trace`]): [`span!`]-style RAII guards record
-//!   wall time and thread id into a lock-sharded ring buffer. With no
-//!   subscriber installed a guard is one relaxed atomic load — no
-//!   clock read, no allocation (a tested property) — so instrumented
-//!   hot paths cost nothing in production. `cfd … --trace` installs
-//!   the subscriber and prints a per-span summary.
-//! * **Metrics** ([`metrics`]): a [`Registry`] of named counters,
-//!   gauges and power-of-two-bucketed histograms, lock-sharded by
-//!   name. It implements `cfd_model::progress::MetricsSink`, the
-//!   trait instrumented layers (and `cfd_core::api::Control`) speak
-//!   — so the
-//!   kernel, the stream engine and the miners need no dependency on
-//!   this crate to be countable.
-//! * **JSON export**: [`MetricsSnapshot`] and span lists serialize
-//!   through `cfd_model::json` — the same writer behind
-//!   `--format json` — and parse back ([`MetricsSnapshot::from_json`]),
-//!   so `cfd … --metrics-out <path>` emits machine-checkable
-//!   documents.
+//! * **Metrics and span summaries** ([`metrics`]): a [`Registry`] of
+//!   named counters, gauges, power-of-two-bucketed histograms and span
+//!   summaries, lock-sharded by name. It implements
+//!   `cfd_model::progress::MetricsSink`, the trait instrumented layers
+//!   speak through `cfd_model::progress::Control` — so the kernel, the
+//!   stream engine and the miners need no dependency on this crate to
+//!   be countable or timed. A span opened with `Control::span` folds
+//!   into its name's [`SpanSummary`] when it closes; a registry keeps
+//!   spans only after [`Registry::enable_spans`] (`cfd … --trace`), and
+//!   until then an open/close pair reads no clock and allocates
+//!   nothing (a tested property).
+//! * **JSON export**: [`MetricsSnapshot`] serializes through
+//!   `cfd_model::json` — the same writer behind `--format json` — and
+//!   parses back ([`MetricsSnapshot::from_json`]), so
+//!   `cfd … --metrics-out <path>` emits machine-checkable documents.
 //!
 //! ```
 //! use cfd_model::progress::{Control, MetricsSink};
@@ -48,10 +45,5 @@
 //! overhead budget live in DESIGN.md §10.
 
 pub mod metrics;
-pub mod trace;
 
-pub use metrics::{HistogramSnapshot, MetricsSnapshot, Registry};
-pub use trace::{
-    drain_spans, install_tracing, record_span, shutdown_tracing, summarize, tracing_enabled,
-    SpanGuard, SpanRecord, SpanSummary,
-};
+pub use metrics::{HistogramSnapshot, MetricsSnapshot, Registry, SpanSummary};

@@ -1,12 +1,20 @@
-//! Named counters, gauges and histograms behind a sharded registry.
+//! Named counters, gauges, histograms and span summaries behind a
+//! sharded registry.
 //!
 //! [`Registry`] is the canonical implementation of
 //! `cfd_model::progress::MetricsSink`: instrumented layers emit through
-//! the trait (usually via `Control::metric_add` and friends) and never
-//! see this type. Internally metrics are striped over a fixed set of
-//! mutex-guarded shards by an FNV hash of the metric *name*, so two
-//! threads bumping different counters rarely share a lock; names are
-//! `&'static str`, so registration never allocates for the key.
+//! the trait (usually via `Control::metric_add`, `Control::span` and
+//! friends) and never see this type. Internally metrics are striped
+//! over a fixed set of mutex-guarded shards by an FNV hash of the
+//! metric *name*, so two threads bumping different counters rarely
+//! share a lock; names are `&'static str`, so registration never
+//! allocates for the key.
+//!
+//! Spans are folded into a per-name [`SpanSummary`] the moment they
+//! close (count, total, max, distinct threads), so nothing is buffered
+//! and nothing is lost however long the run. A registry keeps spans
+//! only once [`Registry::enable_spans`] has been called; until then
+//! `Control::span` reads no clock and records nothing.
 //!
 //! [`Registry::snapshot`] freezes everything into a [`MetricsSnapshot`]
 //! — plain owned data, sorted by name — which serializes through
@@ -17,7 +25,9 @@
 
 use cfd_model::json::Json;
 use cfd_model::progress::MetricsSink;
+use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::Mutex;
+use std::time::{Duration, Instant};
 
 const SHARDS: usize = 8;
 
@@ -59,11 +69,44 @@ impl Histogram {
     }
 }
 
+/// Running aggregate of every closed span of one name.
+#[derive(Default)]
+struct SpanStat {
+    count: u64,
+    total: Duration,
+    max: Duration,
+    /// Distinct recording threads, as dense [`thread_id`]s.
+    threads: Vec<u32>,
+}
+
+impl SpanStat {
+    fn record(&mut self, dur: Duration, thread: u32) {
+        self.count += 1;
+        self.total += dur;
+        self.max = self.max.max(dur);
+        if !self.threads.contains(&thread) {
+            self.threads.push(thread);
+        }
+    }
+}
+
+/// Dense process-local thread ids (the OS id is opaque and wide).
+static NEXT_THREAD_ID: AtomicU32 = AtomicU32::new(0);
+
+thread_local! {
+    static THREAD_ID: u32 = NEXT_THREAD_ID.fetch_add(1, Ordering::Relaxed);
+}
+
+fn thread_id() -> u32 {
+    THREAD_ID.with(|id| *id)
+}
+
 #[derive(Default)]
 struct Shard {
     counters: Vec<(&'static str, u64)>,
     gauges: Vec<(&'static str, u64)>,
     histograms: Vec<(&'static str, Histogram)>,
+    spans: Vec<(&'static str, SpanStat)>,
 }
 
 fn slot<'v, V>(entries: &'v mut Vec<(&'static str, V)>, name: &'static str, init: V) -> &'v mut V {
@@ -90,7 +133,9 @@ fn shard_of(name: &str) -> usize {
     h as usize % SHARDS
 }
 
-/// A thread-safe registry of named counters, gauges and histograms.
+/// A thread-safe registry of named counters, gauges, histograms and
+/// (once [`enable_spans`](Registry::enable_spans) is called) span
+/// summaries.
 ///
 /// ```
 /// use cfd_model::progress::MetricsSink;
@@ -104,14 +149,54 @@ fn shard_of(name: &str) -> usize {
 /// ```
 pub struct Registry {
     shards: [Mutex<Shard>; SHARDS],
+    spans: AtomicBool,
 }
 
 impl Registry {
-    /// An empty registry.
+    /// An empty registry; spans are off.
     pub fn new() -> Registry {
         Registry {
             shards: [const { Mutex::new(Shard::new_const()) }; SHARDS],
+            spans: AtomicBool::new(false),
         }
+    }
+
+    /// Starts keeping the spans closed through this registry (the
+    /// `--trace` switch). Spans opened before the call record nothing.
+    ///
+    /// ```
+    /// use cfd_model::progress::Control;
+    /// let reg = cfd_obs::Registry::new();
+    /// reg.enable_spans();
+    /// let ctrl = Control::default().metrics_with(&reg);
+    /// for _ in 0..3 {
+    ///     let _sp = ctrl.span("validate.family_scan");
+    /// }
+    /// let sums = reg.span_summaries();
+    /// assert_eq!((sums[0].name, sums[0].count, sums[0].threads), ("validate.family_scan", 3, 1));
+    /// ```
+    pub fn enable_spans(&self) {
+        self.spans.store(true, Ordering::Relaxed);
+    }
+
+    /// Every span name recorded so far, heaviest first (descending
+    /// total time, name as tiebreak so the order is deterministic).
+    pub fn span_summaries(&self) -> Vec<SpanSummary> {
+        let mut out = Vec::new();
+        for shard in &self.shards {
+            let shard = shard.lock().expect("a span recorder panicked");
+            for (name, st) in &shard.spans {
+                out.push(SpanSummary {
+                    name,
+                    count: st.count,
+                    total_us: st.total.as_micros() as u64,
+                    max_us: st.max.as_micros() as u64,
+                    threads: st.threads.len() as u32,
+                });
+            }
+        }
+        out.sort_by(|a, b| b.total_us.cmp(&a.total_us).then(a.name.cmp(b.name)));
+        out
     }
 
     /// Freezes current values into an owned, name-sorted snapshot.
@@ -157,6 +242,7 @@ impl Shard {
             counters: Vec::new(),
             gauges: Vec::new(),
             histograms: Vec::new(),
+            spans: Vec::new(),
         }
     }
 }
@@ -184,12 +270,31 @@ impl MetricsSink for Registry {
     }
 
     fn spans_enabled(&self) -> bool {
-        crate::trace::tracing_enabled()
+        self.spans.load(Ordering::Relaxed)
     }
 
-    fn record_span(&self, name: &'static str, start: std::time::Instant, dur: std::time::Duration) {
-        crate::trace::record_span(name, start, dur);
+    fn record_span(&self, name: &'static str, _start: Instant, dur: Duration) {
+        let thread = thread_id();
+        let mut s = self.shards[shard_of(name)]
+            .lock()
+            .expect("a span recorder panicked");
+        slot(&mut s.spans, name, SpanStat::default()).record(dur, thread);
     }
+}
+
+/// Aggregate of every closed span sharing a name.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct SpanSummary {
+    /// Span name.
+    pub name: &'static str,
+    /// Number of closed spans.
+    pub count: u64,
+    /// Sum of durations, microseconds.
+    pub total_us: u64,
+    /// Longest single span, microseconds.
+    pub max_us: u64,
+    /// Distinct threads that closed this span.
+    pub threads: u32,
 }
 
 /// Frozen state of one histogram.
@@ -385,6 +490,7 @@ impl MetricsSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cfd_model::progress::Control;
 
     #[test]
     fn bucket_boundaries_are_powers_of_two() {
@@ -448,6 +554,67 @@ mod tests {
         assert_eq!(snap.counter("hot"), Some(4000));
         assert_eq!(snap.histogram("dist").unwrap().count, 4000);
         assert_eq!(snap.histogram("dist").unwrap().sum, 8000);
+    }
+
+    #[test]
+    fn concurrent_spans_are_summarized_losslessly() {
+        // 40,000 closes of one name: more than any bounded buffer of
+        // the old design held, and every one must be counted
+        let reg = Registry::new();
+        reg.enable_spans();
+        let ctrl = Control::default().metrics_with(&reg);
+        std::thread::scope(|s| {
+            for _ in 0..4 {
+                s.spawn(|| {
+                    for _ in 0..10_000 {
+                        let _sp = ctrl.span("partition.refine");
+                    }
+                });
+            }
+        });
+        let sums = reg.span_summaries();
+        assert_eq!(sums.len(), 1);
+        assert_eq!(sums[0].name, "partition.refine");
+        assert_eq!(sums[0].count, 40_000);
+        assert_eq!(sums[0].threads, 4);
+        assert!(sums[0].total_us >= sums[0].max_us);
+        // spans stay out of the metrics snapshot
+        assert_eq!(reg.snapshot(), MetricsSnapshot::default());
+    }
+
+    #[test]
+    fn span_summaries_order_heaviest_first() {
+        let reg = Registry::new();
+        reg.enable_spans();
+        let t = Instant::now();
+        reg.record_span("b", t, Duration::from_micros(5));
+        reg.record_span("a", t, Duration::from_micros(2));
+        reg.record_span("a", t, Duration::from_micros(9));
+        reg.record_span("c", t, Duration::from_micros(11));
+        let sums = reg.span_summaries();
+        let names: Vec<&str> = sums.iter().map(|s| s.name).collect();
+        // a and c tie at 11us: the name breaks the tie
+        assert_eq!(names, ["a", "c", "b"]);
+        assert_eq!(
+            (sums[0].count, sums[0].total_us, sums[0].max_us),
+            (2, 11, 9)
+        );
+    }
+
+    #[test]
+    fn spans_are_off_until_enabled() {
+        let reg = Registry::new();
+        let ctrl = Control::default().metrics_with(&reg);
+        {
+            let _sp = ctrl.span("early");
+        }
+        assert!(reg.span_summaries().is_empty());
+        reg.enable_spans();
+        {
+            let _sp = ctrl.span("late");
+        }
+        let names: Vec<&str> = reg.span_summaries().iter().map(|s| s.name).collect();
+        assert_eq!(names, ["late"]);
     }
 
     #[test]

@@ -270,7 +270,6 @@ impl StrippedPartition {
         scratch: &mut RefineScratch,
         out: &mut StrippedPartition,
     ) {
-        let _sp = cfd_obs::span!("partition.refine");
         out.clear();
         let col = rel.column(b);
         match v {
@@ -312,7 +311,6 @@ impl StrippedPartition {
         v: PVal,
         scratch: &mut RefineScratch,
     ) -> (usize, usize) {
-        let _sp = cfd_obs::span!("partition.refine_counts");
         let col = rel.column(b);
         match v {
             PVal::Var => {

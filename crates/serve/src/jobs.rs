@@ -365,7 +365,7 @@ pub fn run_spec(spec: &JobSpec, ctrl: &Control<'_>) -> JobOutcome {
                 return JobOutcome::Cancelled;
             }
             let cfds: Vec<Cfd> = rules.iter().map(|(_, c)| c.clone()).collect();
-            let (mut engine, _) = StreamEngine::warm(&ds.rel, cfds, opts.threads.max(1));
+            let (mut engine, _) = StreamEngine::warm_with(&ds.rel, cfds, opts.threads.max(1), ctrl);
             match cfd_stream::remine(&mut engine, opts, ctrl) {
                 Err(_) => JobOutcome::Cancelled,
                 Ok(None) => JobOutcome::Done(Json::obj([

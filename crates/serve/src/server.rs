@@ -254,7 +254,6 @@ fn worker_loop(state: &Arc<State>) {
         let started = Instant::now();
         let deadline = job.timeout.map(|t| started + t);
         let outcome = {
-            let _sp = cfd_obs::span!("serve.job");
             let progress = |p: Progress| {
                 job.send_event(
                     "progress",
@@ -272,6 +271,7 @@ fn worker_loop(state: &Arc<State>) {
             if let Some(d) = deadline {
                 ctrl = ctrl.deadline_with(d);
             }
+            let _sp = ctrl.span("serve.job");
             let shielded = catch_unwind(AssertUnwindSafe(|| {
                 match faultpoint::hit("job_run", job.session) {
                     Some(FaultAction::Panic) => panic!("injected fault: job_run panic"),
@@ -511,7 +511,9 @@ fn writer_loop(stream: TcpStream, rx: Receiver<String>, sid: u64) {
 /// Parses and executes one request line; the bool asks the connection
 /// loop to stop (shutdown).
 fn dispatch(state: &Arc<State>, tx: &Sender<String>, line: &str, sid: u64) -> (Json, bool) {
-    let _sp = cfd_obs::span!("serve.request");
+    let _sp = Control::default()
+        .metrics_with(&*state.metrics)
+        .span("serve.request");
     state.metrics.add("serve.requests", 1);
     let req = match Request::parse(line) {
         Ok(r) => r,
@@ -772,7 +774,8 @@ fn register(
     pin: bool,
     sid: u64,
 ) -> Result<(Arc<Dataset>, Vec<String>), ServeError> {
-    let _sp = cfd_obs::span!("serve.register");
+    let ctrl = Control::default().metrics_with(&*state.metrics);
+    let _sp = ctrl.span("serve.register");
     match faultpoint::hit("ingest", sid) {
         Some(FaultAction::Delay(ms)) => thread::sleep(Duration::from_millis(ms)),
         Some(FaultAction::IoError | FaultAction::ShortRead) => {
@@ -781,7 +784,6 @@ fn register(
         Some(FaultAction::Panic) => panic!("injected fault: ingest panic"),
         None => {}
     }
-    let ctrl = Control::default().metrics_with(&*state.metrics);
     let rel = match (path, csv) {
         (Some(p), None) => ingest_path(&p, &ctrl)?,
         (None, Some(body)) => relation_from_csv_str(&body)

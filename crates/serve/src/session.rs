@@ -1,9 +1,10 @@
 //! One request/session abstraction shared by the CLI and the server.
 //!
 //! `cfd discover`, `cfd check`, `cfd watch` and every server job do
-//! the same bookkeeping around the actual work: install tracing, own a
-//! metrics [`Registry`](cfd_obs::Registry), load the CSV through the chunked ingestion
-//! pipeline with that registry attached, parse a rule file under the
+//! the same bookkeeping around the actual work: own a metrics
+//! [`Registry`](cfd_obs::Registry) (its spans on under `--trace`),
+//! load the CSV through the chunked ingestion pipeline with that
+//! registry attached, parse a rule file under the
 //! strict/lenient policy, decorate report JSON with rule texts, and
 //! flush the span summary / metrics snapshot at the end. This module
 //! hosts that bookkeeping once — the CLI drives one [`ObsSession`] per
@@ -27,21 +28,22 @@ pub struct ObsSession {
 }
 
 impl ObsSession {
-    /// Starts a session with a fresh registry, installing the tracing
-    /// subscriber when `trace` is set.
+    /// Starts a session with a fresh registry, keeping spans when
+    /// `trace` is set.
     pub fn start(trace: bool, metrics_out: Option<String>) -> ObsSession {
         ObsSession::with_registry(Arc::new(cfd_obs::Registry::new()), trace, metrics_out)
     }
 
     /// Starts a session around an existing registry — the server path,
-    /// where the registry outlives any one request.
+    /// where the registry outlives any one request. With `trace`, the
+    /// registry keeps every span closed through it from now on.
     pub fn with_registry(
         registry: Arc<cfd_obs::Registry>,
         trace: bool,
         metrics_out: Option<String>,
     ) -> ObsSession {
         if trace {
-            cfd_obs::install_tracing();
+            registry.enable_spans();
         }
         ObsSession {
             registry,
@@ -74,16 +76,11 @@ impl ObsSession {
     /// path, when either was requested.
     pub fn finish(&self) -> Result<()> {
         if self.trace {
-            cfd_obs::shutdown_tracing();
-            let (spans, lost) = cfd_obs::drain_spans();
-            for s in cfd_obs::summarize(&spans) {
+            for s in self.registry.span_summaries() {
                 eprintln!(
                     "# trace {}: count={} total={}us max={}us threads={}",
                     s.name, s.count, s.total_us, s.max_us, s.threads
                 );
-            }
-            if lost > 0 {
-                eprintln!("# trace: {lost} older span records overwritten (ring full)");
             }
         }
         if let Some(path) = &self.metrics_out {

@@ -4,7 +4,7 @@
 use crate::delta::{coalesce, BatchDelta, Event, RuleId};
 use crate::rule::{RuleState, RuleStats};
 use crate::RowId;
-use cfd_model::progress::MetricsSink;
+use cfd_model::progress::{Control, MetricsSink};
 use cfd_model::relation::{Dict, RelationBuilder};
 use cfd_model::{Cfd, Error, Relation, Result, Schema, Violation};
 use std::sync::Arc;
@@ -74,8 +74,19 @@ impl StreamEngine {
     /// replaying the warm data tuple by tuple through the incremental
     /// path with a hashed `Vec<u32>` key per row and rule.
     pub fn warm(rel: &Relation, rules: Vec<Cfd>, shards: usize) -> (StreamEngine, BatchDelta) {
+        StreamEngine::warm_with(rel, rules, shards, &Control::default())
+    }
+
+    /// [`warm`](StreamEngine::warm), timing the plan's grouping passes
+    /// (`validate.group_build` spans) through `ctrl`.
+    pub fn warm_with(
+        rel: &Relation,
+        rules: Vec<Cfd>,
+        shards: usize,
+        ctrl: &Control<'_>,
+    ) -> (StreamEngine, BatchDelta) {
         let mut engine = StreamEngine::compile(rel, rules, shards);
-        let plan = cfd_validate::CoverPlan::compile(rel, &engine.rules);
+        let plan = cfd_validate::CoverPlan::compile_with(rel, &engine.rules, 1, ctrl);
         for (col, a) in engine.cols.iter_mut().zip(0..rel.arity()) {
             *col = rel.column(a).codes().to_vec();
         }
@@ -294,7 +305,11 @@ impl StreamEngine {
         if ops.is_empty() {
             return BatchDelta::default();
         }
-        let _sp = cfd_obs::span!("stream.apply_batch");
+        let ctrl = match &self.metrics {
+            Some(m) => Control::default().metrics_with(&**m),
+            None => Control::default(),
+        };
+        let _sp = ctrl.span("stream.apply_batch");
         let work = ops.len() * self.rules.len();
         let events: Vec<Event> = if self.shards.len() <= 1 || work < Self::MIN_PARALLEL_WORK {
             let mut out = Vec::new();

@@ -148,7 +148,7 @@ pub fn remine(
         "theta must be within (0, 1]"
     );
     let stats = {
-        let _sp = cfd_obs::span!("remine.trigger");
+        let _sp = ctrl.span("remine.trigger");
         engine.stats()
     };
     let drifted: Vec<RuleId> = stats
@@ -179,7 +179,7 @@ pub fn remine(
     // project the live instance onto the neighborhood (shared
     // dictionaries: codes carry over, only attribute ids renumber)
     let (proj, nb, dense_of) = {
-        let _sp = cfd_obs::span!("remine.project");
+        let _sp = ctrl.span("remine.project");
         let live = engine.materialize();
         let proj = live
             .project(nb_set)
@@ -196,7 +196,7 @@ pub fn remine(
     // live group indexes
     let fd_only = retired_ids.iter().all(|&r| engine.rules()[r].is_plain_fd());
     let (cover, measures) = {
-        let _sp = cfd_obs::span!("remine.mine");
+        let _sp = ctrl.span("remine.mine");
         let proj_index = RelationIndex::new(&proj);
         let dopts = DiscoverOptions {
             max_lhs: opts.max_lhs,
@@ -244,7 +244,7 @@ pub fn remine(
         .collect();
 
     let batch = {
-        let _sp = cfd_obs::span!("remine.apply");
+        let _sp = ctrl.span("remine.apply");
         engine.apply_cover_delta(&retired_ids, replacement.clone())
     };
     if let Some(m) = engine.metrics_sink() {
@@ -254,7 +254,7 @@ pub fn remine(
 
     // kernel-validated acceptance: every surviving rule meets θ
     let live = engine.materialize();
-    let post_measures = cfd_validate::measure_cover(&live, engine.rules(), opts.threads);
+    let post_measures = cfd_validate::measure_cover(&live, engine.rules(), opts.threads, ctrl);
     debug_assert!(post_measures
         .iter()
         .all(|m| m.support == 0 || m.confidence() >= opts.theta));

@@ -76,7 +76,7 @@ fn run_scenario(
     // live instance — not through the engine's own counters, so the
     // convergence claim rests on the semantic reference
     let live = engine.materialize();
-    let measures = measure_cover(&live, engine.rules(), 1);
+    let measures = measure_cover(&live, engine.rules(), 1, &Control::default());
     // convergence is a fixpoint: a second cycle finds nothing drifted
     let again = remine(&mut engine, &opts, &Control::default()).unwrap();
     assert!(

@@ -102,12 +102,18 @@ impl CoverPlan {
     where
         I: IntoIterator<Item = &'a Cfd>,
     {
-        CoverPlan::compile_with(rel, cfds, 1)
+        CoverPlan::compile_with(rel, cfds, 1, &Control::default())
     }
 
     /// [`compile`](CoverPlan::compile) with the family grouping passes
-    /// sharded across `threads` worker threads.
-    pub fn compile_with<'a, I>(rel: &Relation, cfds: I, threads: usize) -> CoverPlan
+    /// sharded across `threads` worker threads, each timed as a
+    /// `validate.group_build` span through `ctrl`.
+    pub fn compile_with<'a, I>(
+        rel: &Relation,
+        cfds: I,
+        threads: usize,
+        ctrl: &Control<'_>,
+    ) -> CoverPlan
     where
         I: IntoIterator<Item = &'a Cfd>,
     {
@@ -146,7 +152,7 @@ impl CoverPlan {
             });
         }
         let families = run_sharded(threads, &wilds, |wild| {
-            let _sp = cfd_obs::span!("validate.group_build");
+            let _sp = ctrl.span("validate.group_build");
             Family {
                 gids: GroupIds::build(rel, wild),
             }
@@ -203,13 +209,32 @@ impl CoverPlan {
         index: &RelationIndex,
         opts: &ValidateOptions,
     ) -> ValidationReport {
+        self.run(rel, index, opts, &Control::default())
+    }
+
+    /// [`CoverPlan::validate_indexed`], timing each scan unit through
+    /// `ctrl` (`validate.family_scan`, `validate.measure`,
+    /// `validate.const_scan`).
+    fn run(
+        &self,
+        rel: &Relation,
+        index: &RelationIndex,
+        opts: &ValidateOptions,
+        ctrl: &Control<'_>,
+    ) -> ValidationReport {
         let units: Vec<Unit> = (0..self.families.len())
             .map(Unit::Family)
             .chain(self.const_rules.iter().map(|&r| Unit::ConstRule(r)))
             .collect();
         let chunks = run_sharded(opts.threads, &units, |unit| match unit {
-            Unit::ConstRule(r) => vec![eval_const_rule(rel, index, &self.rules[*r], opts.limit)],
-            Unit::Family(f) => self.eval_family(rel, index, *f, opts.limit),
+            Unit::ConstRule(r) => vec![eval_const_rule(
+                rel,
+                index,
+                &self.rules[*r],
+                opts.limit,
+                ctrl,
+            )],
+            Unit::Family(f) => self.eval_family(rel, index, *f, opts.limit, ctrl),
         });
         let mut rules: Vec<RuleReport> = chunks.into_iter().flatten().collect();
         rules.sort_unstable_by_key(|r| r.rule);
@@ -279,8 +304,9 @@ impl CoverPlan {
         index: &RelationIndex,
         f: usize,
         limit: usize,
+        ctrl: &Control<'_>,
     ) -> Vec<RuleReport> {
-        let _sp = cfd_obs::span!("validate.family_scan");
+        let _sp = ctrl.span("validate.family_scan");
         let gids = &self.families[f].gids;
         let mut witness: Option<Vec<u32>> = None;
         let mut order: Option<Vec<u32>> = None;
@@ -305,7 +331,7 @@ impl CoverPlan {
                     if rule.consts.is_empty() {
                         let wit = witness.get_or_insert_with(|| gids.witnesses());
                         support = scan_plain_var_rule(rel, rule, gids, wit, &mut count);
-                        let _m = cfd_obs::span!("validate.measure");
+                        let _m = ctrl.span("validate.measure");
                         let ord = order.get_or_insert_with(|| order_by_gid(gids));
                         removals = scratch.removals_ordered(ord, gids.gids(), rhs_codes);
                     } else {
@@ -318,7 +344,7 @@ impl CoverPlan {
                             &mut count,
                             Some(&mut scratch.pairs),
                         );
-                        let _m = cfd_obs::span!("validate.measure");
+                        let _m = ctrl.span("validate.measure");
                         removals = removals_from_pairs(&mut scratch.pairs);
                     }
                 }
@@ -347,14 +373,19 @@ where
 /// Kernel-measured [`RuleMeasure`] per rule of `cfds`, in input order.
 /// This is the acceptance check `cfd_stream::remine` runs after an
 /// atomic cover swap (every surviving rule's confidence must meet the
-/// watch θ): one validation pass with a zero violation-sample cap —
-/// counters stay exact; only the per-violation sample is skipped.
-pub fn measure_cover<'a, I>(rel: &Relation, cfds: I, threads: usize) -> Vec<RuleMeasure>
+/// watch θ): one [`validate_with`] pass with a zero violation-sample
+/// cap — counters stay exact; only the per-violation sample is skipped.
+pub fn measure_cover<'a, I>(
+    rel: &Relation,
+    cfds: I,
+    threads: usize,
+    ctrl: &Control<'_>,
+) -> Vec<RuleMeasure>
 where
     I: IntoIterator<Item = &'a Cfd>,
 {
     let opts = ValidateOptions { threads, limit: 0 };
-    validate(rel, cfds, &opts)
+    validate_with(rel, cfds, &opts, ctrl)
         .rules
         .into_iter()
         .map(|r| r.measure)
@@ -362,8 +393,9 @@ where
 }
 
 /// [`validate`] with run instrumentation: emits the kernel's counters
-/// (`validate.*`; DESIGN.md §10) into the metrics sink attached to
-/// `ctrl`, if any. The report is identical to [`validate`]'s.
+/// and spans (`validate.*`; DESIGN.md §10) into the metrics sink
+/// attached to `ctrl`, if any. The report is identical to
+/// [`validate`]'s.
 pub fn validate_with<'a, I>(
     rel: &Relation,
     cfds: I,
@@ -404,12 +436,17 @@ fn validate_maybe_indexed<'a, I>(
 where
     I: IntoIterator<Item = &'a Cfd>,
 {
-    let _sp = cfd_obs::span!("validate.run");
-    let plan = CoverPlan::compile_with(rel, cfds, opts.threads);
-    let report = match index {
-        Some(ix) => plan.validate_indexed(rel, ix, opts),
-        None => plan.validate(rel, opts),
+    let _sp = ctrl.span("validate.run");
+    let plan = CoverPlan::compile_with(rel, cfds, opts.threads, ctrl);
+    let built;
+    let index = match index {
+        Some(ix) => ix,
+        None => {
+            built = RelationIndex::new(rel);
+            &built
+        }
     };
+    let report = plan.run(rel, index, opts, ctrl);
     ctrl.metric_add("validate.rules", plan.n_rules() as u64);
     ctrl.metric_add("validate.families", plan.families.len() as u64);
     ctrl.metric_add(
@@ -680,8 +717,9 @@ fn eval_const_rule(
     index: &RelationIndex,
     rule: &CompiledRule,
     limit: usize,
+    ctrl: &Control<'_>,
 ) -> RuleReport {
-    let _sp = cfd_obs::span!("validate.const_scan");
+    let _sp = ctrl.span("validate.const_scan");
     let mut violations = 0usize;
     let mut sample = Vec::new();
     let support = scan_const_rule(rel, index, rule, &mut |_, t| {

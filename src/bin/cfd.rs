@@ -520,8 +520,7 @@ fn repair(a: &Args) -> Result<ExitCode> {
 /// its attribute neighborhood, swap the cover atomically, and narrate
 /// the delta as `REMINE` lines (`REMINE-` retired, `REMINE+` added,
 /// then the kernel-validated post-state).
-fn remine_cycle(engine: &mut cfd_suite::prelude::StreamEngine, a: &Args) {
-    use cfd_suite::model::progress::Control;
+fn remine_cycle(engine: &mut cfd_suite::prelude::StreamEngine, a: &Args, obs: &ObsSession) {
     use cfd_suite::prelude::{remine, RemineOptions};
     let ropts = RemineOptions {
         theta: a.remine_theta,
@@ -530,7 +529,7 @@ fn remine_cycle(engine: &mut cfd_suite::prelude::StreamEngine, a: &Args) {
         max_lhs: None,
         threads: a.threads,
     };
-    let mut ctrl = Control::default();
+    let mut ctrl = obs.control();
     let deadline = (a.remine_timeout_ms > 0)
         .then(|| std::time::Instant::now() + std::time::Duration::from_millis(a.remine_timeout_ms));
     if let Some(d) = deadline {
@@ -598,7 +597,7 @@ fn watch(a: &Args) -> Result<ExitCode> {
         parse_cfd_interning(&mut rel, line)
     })?;
     let cfds: Vec<Cfd> = loaded.into_iter().map(|(_, c)| c).collect();
-    let (engine, warm) = StreamEngine::warm(&rel, cfds, a.shards);
+    let (engine, warm) = StreamEngine::warm_with(&rel, cfds, a.shards, &obs.control());
     let mut engine = engine.metrics_with(obs.registry().clone());
     eprintln!(
         "# watching {} rules over {} ({} tuples, {} shards)",
@@ -718,7 +717,7 @@ fn watch(a: &Args) -> Result<ExitCode> {
                 );
             }
             if a.remine {
-                remine_cycle(engine, a);
+                remine_cycle(engine, a, &obs);
             }
         }
         deletes.clear();

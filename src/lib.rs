@@ -9,9 +9,10 @@
 //!   violation/repair records;
 //! * [`partition`] — partitions w.r.t. attribute-set/pattern pairs (Section 4.4);
 //! * [`itemset`] — free and closed item-set mining (Section 3.1);
-//! * [`obs`] — structured observability: span tracing and the metrics
-//!   registry behind `cfd … --trace` / `--metrics-out`, with JSON
-//!   export through `model::json`;
+//! * [`obs`] — structured observability: the metrics registry, with
+//!   lossless per-name span summaries, behind `cfd … --trace` /
+//!   `--metrics-out`, and JSON export through `model::json`; library
+//!   crates reach it only through the run's `Control`;
 //! * [`core`] — the discovery algorithms (CFDMiner, CTANE,
 //!   FastCFD/NaiveFast) and the unified [`core::api`] in front of all
 //!   seven: the `Algo` registry whose `execute` is the one entry point

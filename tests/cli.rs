@@ -721,6 +721,54 @@ fn discover_json_exposes_store_stats_and_metrics_out() {
 }
 
 #[test]
+fn trace_summary_is_lossless_at_any_thread_count() {
+    let dir = std::env::temp_dir().join(format!("cfd-cli-trace-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let csv = dir.join("tax.csv");
+    let mut f = std::io::BufWriter::new(std::fs::File::create(&csv).unwrap());
+    cfd_suite::datagen::tax::TaxGenerator::new(2_000)
+        .write_csv(&mut f)
+        .unwrap();
+    drop(f);
+
+    // every closed span is counted, so the level count cannot depend
+    // on how many threads recorded spans, and nothing is ever dropped
+    let level_count = |threads: &str| {
+        let out = bin()
+            .args([
+                "discover",
+                csv.to_str().unwrap(),
+                "--k",
+                "20",
+                "--algo",
+                "ctane",
+                "--threads",
+                threads,
+                "--trace",
+            ])
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr).to_string();
+        assert!(out.status.success(), "{stderr}");
+        assert!(!stderr.contains("overwritten"), "{stderr}");
+        let line = stderr
+            .lines()
+            .find(|l| l.starts_with("# trace ctane.level:"))
+            .unwrap_or_else(|| panic!("no ctane.level line in {stderr}"));
+        line.split_whitespace()
+            .find_map(|w| w.strip_prefix("count="))
+            .expect("count field")
+            .parse::<u64>()
+            .unwrap()
+    };
+    let serial = level_count("1");
+    assert!(serial > 1, "a multi-level walk: {serial}");
+    assert_eq!(serial, level_count("4"));
+
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn watch_applies_staged_ops_and_flushes_stats_at_eof() {
     use std::process::Stdio;
 

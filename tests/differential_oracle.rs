@@ -83,7 +83,7 @@ proptest! {
     ) {
         for algo in Algo::all() {
             let d = discover(algo, &rel, k);
-            let kernel = measure_cover(&rel, d.cover.iter(), 1);
+            let kernel = measure_cover(&rel, d.cover.iter(), 1, &Control::default());
             prop_assert_eq!(
                 &d.measures, &kernel,
                 "{} self-reported measures disagree with the kernel", algo.name()
